@@ -18,235 +18,19 @@
 // run reports it, and against the baseline's speedup when both do.
 //
 // Exit codes: 0 = within budget, 1 = regression, 2 = bad input/usage.
-#include <cctype>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <string>
-#include <vector>
+
+#include "service/json.hpp"
+
+using rtlrepair::service::Json;
 
 namespace {
-
-// ---------------------------------------------------------------
-// Minimal JSON reader — just enough for the bench metrics schema.
-// ---------------------------------------------------------------
-
-struct Json
-{
-    enum class Kind { Null, Bool, Number, String, Array, Object };
-    Kind kind = Kind::Null;
-    bool boolean = false;
-    double number = 0.0;
-    std::string str;
-    std::vector<Json> array;
-    std::map<std::string, Json> object;
-
-    const Json *
-    find(const std::string &key) const
-    {
-        auto it = object.find(key);
-        return it == object.end() ? nullptr : &it->second;
-    }
-};
-
-class Parser
-{
-  public:
-    explicit Parser(const std::string &text) : _s(text) {}
-
-    bool
-    parse(Json &out)
-    {
-        skipWs();
-        if (!value(out))
-            return false;
-        skipWs();
-        return _pos == _s.size();
-    }
-
-  private:
-    void
-    skipWs()
-    {
-        while (_pos < _s.size() &&
-               std::isspace(static_cast<unsigned char>(_s[_pos]))) {
-            ++_pos;
-        }
-    }
-
-    bool
-    literal(const char *word)
-    {
-        size_t n = std::strlen(word);
-        if (_s.compare(_pos, n, word) != 0)
-            return false;
-        _pos += n;
-        return true;
-    }
-
-    bool
-    value(Json &out)
-    {
-        skipWs();
-        if (_pos >= _s.size())
-            return false;
-        char c = _s[_pos];
-        if (c == '{')
-            return object(out);
-        if (c == '[')
-            return array(out);
-        if (c == '"') {
-            out.kind = Json::Kind::String;
-            return string(out.str);
-        }
-        if (c == 't') {
-            out.kind = Json::Kind::Bool;
-            out.boolean = true;
-            return literal("true");
-        }
-        if (c == 'f') {
-            out.kind = Json::Kind::Bool;
-            out.boolean = false;
-            return literal("false");
-        }
-        if (c == 'n') {
-            out.kind = Json::Kind::Null;
-            return literal("null");
-        }
-        return number(out);
-    }
-
-    bool
-    string(std::string &out)
-    {
-        if (_s[_pos] != '"')
-            return false;
-        ++_pos;
-        out.clear();
-        while (_pos < _s.size() && _s[_pos] != '"') {
-            char c = _s[_pos++];
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            if (_pos >= _s.size())
-                return false;
-            char esc = _s[_pos++];
-            switch (esc) {
-              case 'n': out += '\n'; break;
-              case 't': out += '\t'; break;
-              case 'r': out += '\r'; break;
-              case 'u':
-                // The metric names the gate reads are plain ASCII;
-                // keep unknown code points as a placeholder.
-                if (_pos + 4 > _s.size())
-                    return false;
-                _pos += 4;
-                out += '?';
-                break;
-              default: out += esc; break;
-            }
-        }
-        if (_pos >= _s.size())
-            return false;
-        ++_pos;  // closing quote
-        return true;
-    }
-
-    bool
-    number(Json &out)
-    {
-        size_t start = _pos;
-        while (_pos < _s.size() &&
-               (std::isdigit(static_cast<unsigned char>(_s[_pos])) ||
-                std::strchr("+-.eE", _s[_pos]))) {
-            ++_pos;
-        }
-        if (_pos == start)
-            return false;
-        out.kind = Json::Kind::Number;
-        out.number = std::atof(_s.substr(start, _pos - start).c_str());
-        return true;
-    }
-
-    bool
-    array(Json &out)
-    {
-        out.kind = Json::Kind::Array;
-        ++_pos;  // '['
-        skipWs();
-        if (_pos < _s.size() && _s[_pos] == ']') {
-            ++_pos;
-            return true;
-        }
-        while (true) {
-            Json elem;
-            if (!value(elem))
-                return false;
-            out.array.push_back(std::move(elem));
-            skipWs();
-            if (_pos >= _s.size())
-                return false;
-            if (_s[_pos] == ',') {
-                ++_pos;
-                continue;
-            }
-            if (_s[_pos] == ']') {
-                ++_pos;
-                return true;
-            }
-            return false;
-        }
-    }
-
-    bool
-    object(Json &out)
-    {
-        out.kind = Json::Kind::Object;
-        ++_pos;  // '{'
-        skipWs();
-        if (_pos < _s.size() && _s[_pos] == '}') {
-            ++_pos;
-            return true;
-        }
-        while (true) {
-            skipWs();
-            std::string key;
-            if (_pos >= _s.size() || !string(key))
-                return false;
-            skipWs();
-            if (_pos >= _s.size() || _s[_pos] != ':')
-                return false;
-            ++_pos;
-            Json val;
-            if (!value(val))
-                return false;
-            out.object.emplace(std::move(key), std::move(val));
-            skipWs();
-            if (_pos >= _s.size())
-                return false;
-            if (_s[_pos] == ',') {
-                ++_pos;
-                continue;
-            }
-            if (_s[_pos] == '}') {
-                ++_pos;
-                return true;
-            }
-            return false;
-        }
-    }
-
-    const std::string &_s;
-    size_t _pos = 0;
-};
-
-// ---------------------------------------------------------------
-// Gate logic
-// ---------------------------------------------------------------
 
 struct BenchRow
 {
@@ -255,8 +39,6 @@ struct BenchRow
     double sat_conflicts = 0.0;
     double sat_solves = -1.0;       ///< -1: absent (older schema)
     double encode_seconds = -1.0;   ///< -1: absent (older schema)
-    double svc_cold_seconds = -1.0; ///< -1: absent (older schema)
-    double svc_warm_seconds = -1.0; ///< -1: absent (older schema)
 };
 
 /** One parsed metrics file: the per-benchmark rows plus the
@@ -282,14 +64,12 @@ loadBench(const char *path, MetricsFile &out)
     buf << in.rdbuf();
     std::string text = buf.str();
     Json root;
-    if (!Parser(text).parse(root) ||
-        root.kind != Json::Kind::Object) {
+    if (!Json::parse(text, root) || !root.isObject()) {
         std::fprintf(stderr, "perf_gate: %s is not valid JSON\n",
                      path);
         return false;
     }
-    const Json *schema = root.find("schema");
-    if (!schema || schema->str != "rtlrepair-bench-v1") {
+    if (root.str("schema") != "rtlrepair-bench-v1") {
         std::fprintf(stderr,
                      "perf_gate: %s: expected schema "
                      "rtlrepair-bench-v1\n",
@@ -297,39 +77,26 @@ loadBench(const char *path, MetricsFile &out)
         return false;
     }
     if (const Json *sim = root.find("sim_throughput")) {
-        if (const Json *v = sim->find("event_sps"))
-            out.sim_event_sps = v->number;
-        if (const Json *v = sim->find("vec_sps"))
-            out.sim_vec_sps = v->number;
-        if (const Json *v = sim->find("speedup"))
-            out.sim_speedup = v->number;
+        out.sim_event_sps = sim->num("event_sps", -1.0);
+        out.sim_vec_sps = sim->num("vec_sps", -1.0);
+        out.sim_speedup = sim->num("speedup", -1.0);
     }
     const Json *benches = root.find("benchmarks");
-    if (!benches || benches->kind != Json::Kind::Array) {
+    if (!benches || !benches->isArray()) {
         std::fprintf(stderr, "perf_gate: %s: no benchmarks array\n",
                      path);
         return false;
     }
-    for (const Json &b : benches->array) {
-        const Json *name = b.find("name");
-        if (!name)
+    for (const Json &b : benches->items()) {
+        if (!b.find("name"))
             continue;
         BenchRow row;
-        if (const Json *v = b.find("status"))
-            row.status = v->str;
-        if (const Json *v = b.find("wall_seconds"))
-            row.wall_seconds = v->number;
-        if (const Json *v = b.find("sat_conflicts"))
-            row.sat_conflicts = v->number;
-        if (const Json *v = b.find("sat_solves"))
-            row.sat_solves = v->number;
-        if (const Json *v = b.find("encode_seconds"))
-            row.encode_seconds = v->number;
-        if (const Json *v = b.find("svc_cold_seconds"))
-            row.svc_cold_seconds = v->number;
-        if (const Json *v = b.find("svc_warm_seconds"))
-            row.svc_warm_seconds = v->number;
-        rows[name->str] = row;
+        row.status = b.str("status");
+        row.wall_seconds = b.num("wall_seconds");
+        row.sat_conflicts = b.num("sat_conflicts");
+        row.sat_solves = b.num("sat_solves", -1.0);
+        row.encode_seconds = b.num("encode_seconds", -1.0);
+        rows[b.str("name")] = row;
     }
     return true;
 }
@@ -443,24 +210,6 @@ main(int argc, char **argv)
             ok &= gate(name, "encode_seconds", base.encode_seconds,
                        cur.encode_seconds, max_regress,
                        kWallNoiseFloorSeconds);
-        }
-        // Service warm-cache column: gate the warm/cold ratio rather
-        // than the raw warm time.  Dividing out the cold run cancels
-        // runner speed, so a regression here means the cross-job
-        // elaboration cache itself got less effective (e.g. the warm
-        // resubmission stopped hitting), not that the machine was
-        // slow.  Cold runs below the wall noise floor are skipped:
-        // their ratios are all jitter.
-        if (base.svc_cold_seconds >= kWallNoiseFloorSeconds &&
-            base.svc_warm_seconds >= 0 &&
-            cur.svc_cold_seconds >= kWallNoiseFloorSeconds &&
-            cur.svc_warm_seconds >= 0) {
-            double base_ratio =
-                base.svc_warm_seconds / base.svc_cold_seconds;
-            double cur_ratio =
-                cur.svc_warm_seconds / cur.svc_cold_seconds;
-            ok &= gate(name, "svc_warm_ratio", base_ratio, cur_ratio,
-                       max_regress, 0.0);
         }
     }
     // Vectorized-simulation throughput.  Two checks, both optional so

@@ -1,7 +1,6 @@
 #include "repair/driver.hpp"
 
 #include "repair/parallel.hpp"
-#include "repair/patcher.hpp"
 #include "util/logging.hpp"
 #include "util/stopwatch.hpp"
 #include "util/strings.hpp"
@@ -74,86 +73,43 @@ repairDesign(const verilog::Module &buggy,
         return std::move(outcome);
     };
 
-    // 1+2. Preprocess + base elaboration, the design-dependent
-    // pipeline prefix.  When the caller supplies an elaboration cache
-    // (the service layer does, keyed by design digest), a warm entry
-    // replaces both stages; the templates downstream re-elaborate
-    // their instrumented variants regardless.
+    // 1. Static-analysis preprocessing (paper §4.1).  A fault here is
+    // survivable: the cascade simply runs on the original design.
     templates::PreprocessResult pre;
-    ir::TransitionSystem base_sys;
-    bool prefix_cached = false;
-    if (config.elab_cache && config.cache_key != 0) {
-        StageGuard guard("elab-cache", outcome.stages);
-        ElaborationCache::Entry entry;
-        bool hit = false;
-        if (guard.run([&] {
-                hit = config.elab_cache->lookup(config.cache_key,
-                                                entry);
-            }) &&
-            hit) {
-            pre.module = std::move(entry.module);
-            pre.changes = entry.preprocess_changes;
-            pre.notes = entry.preprocess_notes;
-            base_sys = std::move(entry.sys);
-            prefix_cached = true;
-            outcome.elab_cache_hit = true;
+    {
+        StageGuard guard("preprocess", outcome.stages);
+        if (!guard.run([&] { pre = templates::preprocess(buggy); })) {
+            outcome.degraded = true;
+            pre = templates::PreprocessResult{};
+            pre.module = buggy.clone();
+            outcome.detail += format(
+                "preprocessing dropped (%s); continuing with the "
+                "original design\n",
+                guard.report().diagnostic.c_str());
         }
     }
-    if (!prefix_cached) {
-        // Static-analysis preprocessing (paper §4.1).  A fault here
-        // is survivable: the cascade simply runs on the original
-        // design.
-        bool prefix_ok = true;
-        {
-            StageGuard guard("preprocess", outcome.stages);
-            if (!guard.run(
-                    [&] { pre = templates::preprocess(buggy); })) {
-                outcome.degraded = true;
-                prefix_ok = false;
-                pre = templates::PreprocessResult{};
-                pre.module = buggy.clone();
-                outcome.detail += format(
-                    "preprocessing dropped (%s); continuing with the "
-                    "original design\n",
-                    guard.report().diagnostic.c_str());
-            }
-        }
 
-        // Elaborate the preprocessed design.  Without an IR nothing
-        // downstream can run: a FatalError means the user's design is
-        // not synthesizable, anything else degrades the run as a
-        // whole.
+    // 2. Elaborate the preprocessed design.  Without an IR nothing
+    // downstream can run: a FatalError means the user's design is not
+    // synthesizable, anything else degrades the run as a whole.
+    ir::TransitionSystem base_sys;
+    {
         elaborate::ElaborateOptions elab_opts;
         elab_opts.library = library;
-        {
-            StageGuard guard("elaborate", outcome.stages);
-            if (!guard.run([&] {
-                    base_sys =
-                        elaborate::elaborate(*pre.module, elab_opts);
-                })) {
-                const StageReport &r = guard.report();
-                if (r.user_error) {
-                    outcome.detail += format("not synthesizable: %s\n",
-                                             r.diagnostic.c_str());
-                    return finish(
-                        RepairOutcome::Status::CannotSynthesize);
-                }
-                outcome.degraded = true;
-                outcome.detail += format("elaboration dropped (%s)\n",
+        StageGuard guard("elaborate", outcome.stages);
+        if (!guard.run([&] {
+                base_sys = elaborate::elaborate(*pre.module, elab_opts);
+            })) {
+            const StageReport &r = guard.report();
+            if (r.user_error) {
+                outcome.detail += format("not synthesizable: %s\n",
                                          r.diagnostic.c_str());
-                return finish(RepairOutcome::Status::Degraded);
+                return finish(RepairOutcome::Status::CannotSynthesize);
             }
-        }
-        // Only a cleanly produced prefix is worth remembering; a
-        // degraded one would replay its degradation into every warm
-        // sibling.
-        if (prefix_ok && config.elab_cache && config.cache_key != 0) {
-            ElaborationCache::Entry entry;
-            entry.module = pre.module->clone();
-            entry.preprocess_changes = pre.changes;
-            entry.preprocess_notes = pre.notes;
-            entry.sys = base_sys;
-            config.elab_cache->store(config.cache_key, entry);
+            outcome.degraded = true;
+            outcome.detail += format("elaboration dropped (%s)\n",
+                                     r.diagnostic.c_str());
+            return finish(RepairOutcome::Status::Degraded);
         }
     }
     outcome.preprocess_changes = pre.changes;
@@ -211,209 +167,11 @@ repairDesign(const verilog::Module &buggy,
                                        : RepairOutcome::Status::NoRepair);
     }
 
-    // 5. Template cascade.  With more than one worker, the cascade
-    // runs as a parallel portfolio: every (template × window)
-    // candidate is an independent solve, raced with first-success
-    // cancellation and folded back in deterministic serial order.
-    if (unsigned jobs = resolveJobs(config.jobs); jobs > 1) {
-        PortfolioOutcome port =
-            runPortfolio(*pre.module, library, resolved, init, config,
-                         deadline, jobs);
-        outcome.detail += port.detail;
-        outcome.candidates = std::move(port.candidates);
-        outcome.stages.insert(outcome.stages.end(),
-                              port.stages.begin(), port.stages.end());
-        outcome.degraded = outcome.degraded || port.degraded;
-        if (port.best) {
-            outcome.repaired = std::move(port.best->repaired);
-            outcome.changes = port.best->changes;
-            outcome.template_name = port.best->template_name;
-            outcome.window_past = port.best->window_past;
-            outcome.window_future = port.best->window_future;
-            return finish(RepairOutcome::Status::Repaired);
-        }
-        if (port.timed_out)
-            return finish(RepairOutcome::Status::Timeout);
-        return finish(outcome.degraded
-                          ? RepairOutcome::Status::Degraded
-                          : RepairOutcome::Status::NoRepair);
-    }
-    struct Best
-    {
-        std::unique_ptr<verilog::Module> repaired;
-        int changes = 0;
-        std::string template_name;
-        int window_past = 0;
-        int window_future = 0;
-    };
-    std::optional<Best> best;
-    bool timed_out = false;
-
-    auto cascade = templates::standardTemplates();
-    // Stages still ahead of the cascade, for time-slice accounting.
-    size_t templates_left = 0;
-    for (const auto &tmpl : cascade) {
-        if (config.only_template.empty() ||
-            tmpl->name() == config.only_template) {
-            ++templates_left;
-        }
-    }
-
-    for (auto &tmpl : cascade) {
-        if (!config.only_template.empty() &&
-            tmpl->name() != config.only_template) {
-            continue;
-        }
-        if (deadline.expired()) {
-            timed_out = true;
-            break;
-        }
-        const std::string name = tmpl->name();
-        const double slice = stageSlice(deadline.remaining(),
-                                        templates_left, config.guard);
-        --templates_left;
-
-        if (memoryWatermarkExceeded(config.guard)) {
-            StageGuard guard("template:" + name, outcome.stages);
-            guard.skip("peak-RSS watermark exceeded");
-            outcome.degraded = true;
-            outcome.detail += format(
-                "template %s: skipped, peak-RSS watermark exceeded\n",
-                name.c_str());
-            continue;
-        }
-
-        // Each template gets a slice of the remaining global budget,
-        // so one pathological template cannot starve its siblings.
-        Deadline tmpl_deadline(&deadline, nullptr, slice);
-
-        templates::TemplateResult inst;
-        {
-            StageGuard guard("template:" + name, outcome.stages);
-            if (!guard.run(
-                    [&] { inst = tmpl->apply(*pre.module, library); })) {
-                outcome.degraded = true;
-                outcome.detail += format(
-                    "template %s: instrumentation dropped (%s)\n",
-                    name.c_str(), guard.report().diagnostic.c_str());
-                continue;
-            }
-        }
-        if (inst.vars.empty())
-            continue;  // template found no change sites
-
-        elaborate::ElaborateOptions opts;
-        opts.library = library;
-        opts.synth_vars = inst.vars.specs();
-        ir::TransitionSystem sys;
-        {
-            StageGuard guard("elaborate:" + name, outcome.stages);
-            if (!guard.run([&] {
-                    sys = elaborate::elaborate(*inst.instrumented,
-                                               opts);
-                })) {
-                const StageReport &r = guard.report();
-                if (r.user_error) {
-                    // The instrumented design can legitimately fail to
-                    // elaborate; skipping it is the normal cascade
-                    // behaviour, not a degradation.
-                    outcome.detail += format(
-                        "template %s: instrumented design not "
-                        "synthesizable (%s)\n",
-                        name.c_str(), r.diagnostic.c_str());
-                } else {
-                    outcome.degraded = true;
-                    outcome.detail += format(
-                        "template %s: elaboration dropped (%s)\n",
-                        name.c_str(), r.diagnostic.c_str());
-                }
-                continue;
-            }
-        }
-
-        EngineConfig engine_cfg = config.engine;
-        engine_cfg.stage_label = name;
-        engine_cfg.solve_retries = config.guard.solve_retries;
-        engine_cfg.max_rss_kb = config.guard.max_rss_mb * 1024;
-
-        EngineResult engine;
-        // The engine guards each window solve itself; the wrapper only
-        // reports when a fault escapes those inner guards (e.g. out of
-        // memory while replaying candidates).
-        StageGuard guard("engine:" + name, outcome.stages,
-                         StageGuard::Recording::OnFault);
-        bool ran = guard.run([&] {
-            engine = runEngine(sys, inst.vars, resolved, init,
-                               engine_cfg, &tmpl_deadline);
-        });
-        outcome.stages.insert(outcome.stages.end(),
-                              engine.stages.begin(),
-                              engine.stages.end());
-        for (const auto &w : engine.windows)
-            outcome.candidates.push_back({name, w});
-        if (!ran) {
-            outcome.degraded = true;
-            outcome.detail += format(
-                "template %s: engine dropped (%s)\n", name.c_str(),
-                guard.report().diagnostic.c_str());
-            continue;
-        }
-        switch (engine.status) {
-          case EngineResult::Status::Timeout:
-            if (deadline.expired()) {
-                timed_out = true;
-                outcome.detail +=
-                    format("template %s: timeout\n", name.c_str());
-            } else {
-                // The slice ran out but the global budget did not:
-                // drop this template and let the siblings use the
-                // reclaimed time.
-                outcome.degraded = true;
-                outcome.detail += format(
-                    "template %s: stage budget exhausted, dropped\n",
-                    name.c_str());
-            }
-            continue;
-          case EngineResult::Status::Failed:
-            outcome.degraded = true;
-            outcome.detail += format(
-                "template %s: dropped after contained fault (%s)\n",
-                name.c_str(), engine.error.c_str());
-            continue;
-          case EngineResult::Status::NoRepair:
-            outcome.detail += format("template %s: no repair found\n",
-                                     name.c_str());
-            continue;
-          case EngineResult::Status::Repaired:
-            break;
-        }
-
-        auto repaired =
-            patch(*inst.instrumented, inst.vars, engine.assignment);
-        if (!best || engine.changes < best->changes) {
-            best = Best{std::move(repaired), engine.changes, name,
-                        engine.window_past, engine.window_future};
-        }
-        if (engine.changes <= config.change_threshold)
-            break;  // small enough: stop the cascade (paper Fig. 3)
-        outcome.detail += format(
-            "template %s: repair with %d changes exceeds threshold, "
-            "trying further templates\n",
-            name.c_str(), engine.changes);
-    }
-
-    if (best) {
-        outcome.repaired = std::move(best->repaired);
-        outcome.changes = best->changes;
-        outcome.template_name = best->template_name;
-        outcome.window_past = best->window_past;
-        outcome.window_future = best->window_future;
-        return finish(RepairOutcome::Status::Repaired);
-    }
-    if (timed_out)
-        return finish(RepairOutcome::Status::Timeout);
-    return finish(outcome.degraded ? RepairOutcome::Status::Degraded
-                                   : RepairOutcome::Status::NoRepair);
+    // 5. Template cascade.  The worker count decides only how the
+    // templates are scheduled; the outcome is the same for any value.
+    return finish(runCascade(*pre.module, library, resolved, init,
+                             config, deadline,
+                             resolveJobs(config.jobs), outcome));
 }
 
 } // namespace rtlrepair::repair

@@ -1,33 +1,29 @@
 /**
  * @file
- * Parallel repair portfolio: the template cascade and the adaptive
- * windowing ladder, scheduled over a work-stealing thread pool with
- * first-success-wins cooperative cancellation.
+ * The template cascade of paper Fig. 3 and how its templates are
+ * scheduled.
  *
- * Every (template × window) candidate is an independent symbolic
- * solve, so the portfolio
- *  (a) applies + elaborates each repair template concurrently,
- *  (b) launches window candidates for each instrumented system as
- *      independent RepairQuery solves on pool workers (the ladder's
- *      predicted next windows are solved speculatively ahead of the
- *      frontier), and
- *  (c) cancels losing candidates the moment a winner is decided, via
- *      CancelTokens threaded through the existing Deadline plumbing
- *      into the SAT solver's propagate/restart loop and the query
- *      encoder.
+ * Every template goes through one path: apply the template, elaborate
+ * the instrumented design, run the windowing engine, and patch the
+ * repair back.  One fold turns the per-template results into the run's
+ * outcome in standardTemplates() order: the fewest changes win, a tie
+ * goes to the earlier template, and a repair at or under the change
+ * threshold stops the cascade.
  *
- * Determinism rule: the scheduler consumes results in exactly the
- * order the serial cascade implies — templates in standardTemplates()
- * order, windows in ladder order — and applies the same (fewest
- * changes, template order, smallest window) ranking.  Thread timing
- * affects only wall-clock, never the repair reported; jobs=1 and
- * jobs=N produce bit-identical outcomes.
+ * The worker count decides only how the templates run.  With one
+ * worker they run inline and in order, each with a time slice carved
+ * from the budget still left, and the cascade stops at the threshold.
+ * With more workers every template is a thread-pool task with the same
+ * slice.  Once template i holds a repair at or under the threshold, the
+ * fold can never reach a later template, so those are cancelled
+ * through a per-template horizon CancelToken that the solver loops
+ * poll via their Deadline.  Thread timing therefore changes only
+ * wall-clock time: jobs=1 and jobs=N report identical outcomes.
  */
 #ifndef RTLREPAIR_REPAIR_PARALLEL_HPP
 #define RTLREPAIR_REPAIR_PARALLEL_HPP
 
 #include "repair/driver.hpp"
-#include "util/thread_pool.hpp"
 
 namespace rtlrepair::repair {
 
@@ -38,59 +34,21 @@ namespace rtlrepair::repair {
  */
 unsigned resolveJobs(unsigned requested);
 
-/** Best repair found by the portfolio (serial-cascade ranking). */
-struct PortfolioBest
-{
-    std::unique_ptr<verilog::Module> repaired;
-    int changes = 0;
-    std::string template_name;
-    int window_past = 0;
-    int window_future = 0;
-};
-
-/** Outcome of a portfolio run over all templates. */
-struct PortfolioOutcome
-{
-    std::optional<PortfolioBest> best;
-    bool timed_out = false;
-    std::string detail;
-    std::vector<RepairCandidateStat> candidates;
-    /** Per-stage reports from every template task, folded back in
-     *  template order (identical to a serial run's order). */
-    std::vector<StageReport> stages;
-    /** A template task was dropped by the containment layer; the
-     *  siblings' results are unaffected. */
-    bool degraded = false;
-};
-
 /**
- * Run the template cascade as a parallel portfolio over @p jobs
- * workers.  @p preprocessed is the lint-fixed module the templates
- * instrument; @p resolved / @p init must already be X-resolved (the
- * same values the serial cascade would use).
+ * Run the template cascade over @p jobs workers and fold the results
+ * into @p outcome: detail notes, candidates, stage reports, the
+ * degraded flag and the winning repair.  @p preprocessed is the
+ * lint-fixed module the templates instrument; @p resolved and @p init
+ * must already be X-resolved.  Returns Repaired, Timeout, Degraded or
+ * NoRepair.
  */
-PortfolioOutcome
-runPortfolio(const verilog::Module &preprocessed,
-             const std::vector<const verilog::Module *> &library,
-             const trace::IoTrace &resolved,
-             const std::vector<bv::Value> &init,
-             const RepairConfig &config, const Deadline &deadline,
-             unsigned jobs);
-
-/**
- * Adaptive-windowing engine for one instrumented system with window
- * candidates solved on @p pool workers: the ladder frontier plus up
- * to EngineConfig::speculation predicted next windows are in flight
- * at once; mispredicted speculative solves are cancelled.  Follows
- * the exact ladder transitions of the serial runEngine().
- */
-EngineResult
-runEngineParallel(const ir::TransitionSystem &sys,
-                  const templates::SynthVarTable &vars,
-                  const trace::IoTrace &resolved,
-                  const std::vector<bv::Value> &init,
-                  const EngineConfig &config,
-                  const Deadline *deadline, ThreadPool &pool);
+RepairOutcome::Status
+runCascade(const verilog::Module &preprocessed,
+           const std::vector<const verilog::Module *> &library,
+           const trace::IoTrace &resolved,
+           const std::vector<bv::Value> &init,
+           const RepairConfig &config, const Deadline &deadline,
+           unsigned jobs, RepairOutcome &outcome);
 
 } // namespace rtlrepair::repair
 

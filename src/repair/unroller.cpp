@@ -10,9 +10,10 @@ namespace rtlrepair::repair {
 
 namespace {
 
-// Unstable: encodes happen inside speculative portfolio solves too,
-// so the totals depend on scheduling; the deterministic per-window
-// numbers are folded from WindowStat on the ladder-consume path.
+// Unstable: at jobs>1 a template that the cascade later cancels has
+// already encoded some windows, and how many depends on thread timing.
+// The deterministic per-window numbers are folded from WindowStat over
+// the final outcome's candidate list instead.
 telemetry::Counter s_queries("unroll.queries_encoded",
                              telemetry::MetricKind::Unstable);
 telemetry::Counter s_cycles("unroll.cycles_encoded",

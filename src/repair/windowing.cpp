@@ -108,14 +108,6 @@ WindowLadder::growFuture(size_t latest_failure)
     k_future = std::max(k_future + 1, needed);
 }
 
-WindowLadder
-WindowLadder::predictedNext(const EngineConfig &config) const
-{
-    WindowLadder next = *this;
-    next.growPast(config);
-    return next;
-}
-
 ConcreteRunner::ConcreteRunner(const ir::TransitionSystem &sys,
                                const trace::IoTrace &resolved,
                                std::vector<Value> init,

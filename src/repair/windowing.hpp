@@ -41,9 +41,6 @@ struct EngineConfig
     size_t past_step = 2;       ///< paper: k_past increments of two
     size_t max_candidates = 4;  ///< paper: next window after 4 failures
     size_t basic_max_candidates = 16;
-    /** Parallel mode: how many window candidates ahead of the ladder
-     *  frontier to solve speculatively (0 = frontier only). */
-    size_t speculation = 2;
     /** Label for stage reports / fault sites ("solve:<label>"). */
     std::string stage_label;
     /** Window-solve retries (reseeded solver, halved window growth)
@@ -123,12 +120,10 @@ struct EngineResult
 };
 
 /**
- * Deterministic adaptive-window ladder state (paper §4.4).
- *
- * The serial engine and the parallel portfolio both step this exact
- * state machine, consuming window results in ladder order — so the
- * sequence of windows examined (and therefore the repair found) is
- * identical no matter how many workers race ahead speculatively.
+ * Deterministic adaptive-window ladder state (paper §4.4): the window
+ * around the first failure and its two growth rules.  runEngine steps
+ * it once per window result, in order, in both the incremental and the
+ * fresh-per-window mode.
  */
 struct WindowLadder
 {
@@ -161,17 +156,6 @@ struct WindowLadder
 
     /** Some candidate fails strictly later: include that cycle. */
     void growFuture(size_t latest_failure);
-
-    /** The speculative prediction for the next ladder state: past
-     *  growth, the common transition (both the no-repair-in-window
-     *  and the all-fail-earlier feedback take it). */
-    WindowLadder predictedNext(const EngineConfig &config) const;
-
-    bool
-    operator==(const WindowLadder &o) const
-    {
-        return k_past == o.k_past && k_future == o.k_future;
-    }
 };
 
 /**

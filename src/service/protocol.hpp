@@ -16,7 +16,7 @@
  *   cancel   {id}
  *   query    {id}           — state of a queued/running/recent job
  *   recover  {}             — jobs interrupted by a daemon crash
- *   stats    {}             — queue/cache/counter snapshot
+ *   stats    {}             — queue/counter snapshot
  *   ping     {}
  *
  * Response types:
@@ -28,7 +28,7 @@
  *   stage       {id, stage, status, seconds, rss_kb|rss:"unknown",
  *                retries?, diagnostic?}
  *   result      {id, status, exit_code, changes, template, seconds,
- *                cache, degraded, cancelled, detail, repaired?}
+ *                degraded, cancelled, detail, repaired?}
  *   error       {message, id?}   — protocol-level failure (bad JSON,
  *               unknown type, injected decode fault); the connection
  *               survives
@@ -88,6 +88,11 @@ bool parseSubmit(const Json &msg, JobRequest &out, std::string &error);
 /** Serialize @p req as a submit line (the client side). */
 std::string submitLine(const JobRequest &req);
 
+/** Digest of a full submission (design + trace): the default
+ *  content-addressed job id, identical on client and server. */
+uint64_t jobDigest(const std::string &design_source,
+                   const std::string &trace_csv);
+
 /** @name Server response lines (each includes v/type/trailing \n). */
 ///@{
 std::string acceptedLine(const std::string &id, size_t queue_depth);
@@ -101,12 +106,11 @@ std::string pongLine();
 
 /**
  * Result line for a finished job.  @p repaired_source is the patched
- * design when status==Repaired; @p cache is "hit", "miss" or "off".
+ * design when status==Repaired.
  */
 std::string resultLine(const std::string &id,
                        const repair::RepairOutcome &outcome,
-                       const std::string &repaired_source,
-                       const std::string &cache);
+                       const std::string &repaired_source);
 
 /** Result line for a job that never produced an outcome. */
 std::string failureResultLine(const std::string &id,

@@ -5,7 +5,6 @@
 
 #include "service/json.hpp"
 #include "trace/io_trace.hpp"
-#include "util/digest.hpp"
 #include "util/fault.hpp"
 #include "util/strings.hpp"
 #include "util/telemetry.hpp"
@@ -74,9 +73,7 @@ struct Server::Job
 };
 
 Server::Server(ServerConfig config)
-    : _config(std::move(config)),
-      _cache(_config.cache_mb * 1024 * 1024),
-      _queue(_config.queue_depth, _config.tenant_cap)
+    : _config(std::move(config)), _queue(_config.queue_depth, _config.tenant_cap)
 {
 }
 
@@ -329,21 +326,32 @@ Server::handleSubmit(const std::shared_ptr<Connection> &conn,
     auto job = std::make_shared<Job>();
     job->req = req;
     job->conn = conn;
-    Admission verdict =
-        _queue.submit(req.id, req.tenant, req.priority, job);
+    Admission verdict;
+    {
+        // A worker may pop the job as soon as the queue admits it, and
+        // a small job finishes in well under a journal fsync.  Holding
+        // _admit_mutex until the job is journalled and active, with
+        // runJob taking it before it starts, keeps a job's "done" from
+        // preceding its "start" in the journal (a restart would report
+        // the finished job as interrupted) and keeps finishJob from
+        // running before the job entered _active (the entry would stay
+        // forever).
+        std::lock_guard<std::mutex> admitting(_admit_mutex);
+        verdict = _queue.submit(req.id, req.tenant, req.priority, job);
+        if (verdict == Admission::Admitted) {
+            // Journal before acknowledging: once the client sees
+            // "accepted", a daemon crash must surface this id as
+            // interrupted.
+            _journal.clearInterrupted(req.id);
+            _journal.logStart(req.id, req.tenant);
+            std::lock_guard<std::mutex> lock(_mutex);
+            _active[req.id] = job;
+        }
+    }
     if (verdict != Admission::Admitted) {
         send(conn, rejectedLine(req.id, admissionReason(verdict)));
         serviceCounter("jobs.rejected").add(1);
         return;
-    }
-
-    // Journal before acknowledging: once the client sees "accepted",
-    // a daemon crash must surface this id as interrupted.
-    _journal.clearInterrupted(req.id);
-    _journal.logStart(req.id, req.tenant);
-    {
-        std::lock_guard<std::mutex> lock(_mutex);
-        _active[req.id] = job;
     }
     {
         std::lock_guard<std::mutex> lock(conn->jobs_mutex);
@@ -373,7 +381,7 @@ Server::finishJob(const std::shared_ptr<Job> &job,
                   const std::string &response)
 {
     // Respond-path fault site: the client may lose its result line,
-    // but the journal, queue slot and cache stay consistent — the
+    // but the journal and queue slot stay consistent — the
     // client can re-query the id after reconnecting.
     bool respond_ok = true;
     try {
@@ -408,6 +416,9 @@ void
 Server::runJob(const std::shared_ptr<Job> &job)
 {
     const JobRequest &req = job->req;
+    // Wait until handleSubmit has journalled the job and made it
+    // active.
+    { std::lock_guard<std::mutex> admitted(_admit_mutex); }
     try {
         if (job->cancel.cancelled()) {
             // Cancelled while queued (disconnect or explicit cancel):
@@ -462,12 +473,9 @@ Server::runJob(const std::shared_ptr<Job> &job)
         repair::foldStageCounters(svc_stages);
 
         std::vector<const verilog::Module *> library;
-        std::vector<std::string> library_sources;
         for (const auto &m : file.modules) {
-            if (m.get() != &file.top()) {
+            if (m.get() != &file.top())
                 library.push_back(m.get());
-                library_sources.push_back(verilog::print(*m));
-            }
         }
 
         // Per-tenant budgets: the requested timeout is clamped to the
@@ -488,12 +496,6 @@ Server::runJob(const std::shared_ptr<Job> &job)
             config.jobs = _config.max_job_threads;
         config.guard.max_rss_mb = _config.max_rss_mb;
         config.cancel = &job->cancel;
-        if (_config.cache_mb > 0) {
-            config.elab_cache = &_cache;
-            config.cache_key =
-                designDigest(verilog::print(file.top()),
-                             library_sources);
-        }
 
         repair::RepairOutcome outcome =
             repair::repairDesign(file.top(), library, io, config);
@@ -510,16 +512,13 @@ Server::runJob(const std::shared_ptr<Job> &job)
                 repair::RepairOutcome::Status::Repaired &&
             outcome.repaired)
             repaired_source = verilog::print(*outcome.repaired);
-        const char *cache = _config.cache_mb == 0 ? "off"
-                            : outcome.elab_cache_hit ? "hit"
-                                                     : "miss";
         std::string wire_status =
             outcome.cancelled ? "cancelled"
                               : statusWireName(outcome.status);
         if (outcome.cancelled)
             serviceCounter("jobs.cancelled").add(1);
         finishJob(job, wire_status,
-                  resultLine(req.id, outcome, repaired_source, cache));
+                  resultLine(req.id, outcome, repaired_source));
     } catch (const FatalError &e) {
         serviceCounter("jobs.faulted").add(1);
         finishJob(job, "bad-input",
@@ -558,15 +557,6 @@ Server::statsJson()
     reply.set("workers", Json::number(uint64_t(_config.workers)));
     reply.set("interrupted",
               Json::number(uint64_t(_journal.interrupted().size())));
-    ElabCache::Stats cache = _cache.stats();
-    Json cache_obj = Json::object();
-    cache_obj.set("hits", Json::number(cache.hits));
-    cache_obj.set("misses", Json::number(cache.misses));
-    cache_obj.set("stores", Json::number(cache.stores));
-    cache_obj.set("evictions", Json::number(cache.evictions));
-    cache_obj.set("entries", Json::number(uint64_t(cache.entries)));
-    cache_obj.set("bytes", Json::number(uint64_t(cache.bytes)));
-    reply.set("cache", std::move(cache_obj));
     return reply;
 }
 

@@ -10,7 +10,7 @@
  * timeout — exactly on the nth visit to that stage and never again.
  *
  * Sites are counted per stage name under a mutex, so the nth visit is
- * the same no matter how many worker threads the portfolio uses: all
+ * the same no matter how many worker threads the cascade uses: all
  * instrumented sites either run exactly once per repair (preprocess,
  * elaborate, per-template stages) or are placed on the deterministic
  * ladder-consume path of the engine (window solves), which steps in

@@ -34,8 +34,9 @@ class Stopwatch
 
 /**
  * Cooperative cancellation flag shared between a scheduler and the
- * workers it may want to stop early (first-success-wins portfolios).
- * Cheap to poll from inner solver loops.
+ * workers it may want to stop early (Ctrl-C, a client disconnect, or a
+ * template the cascade can no longer reach).  Cheap to poll from inner
+ * solver loops.
  */
 class CancelToken
 {
@@ -57,9 +58,12 @@ class CancelToken
  *
  * A deadline can be derived from a parent deadline plus a CancelToken;
  * expired() then reports true as soon as either the local budget, any
- * ancestor budget, or the token trips.  This is how the parallel
- * repair portfolio stops losing candidates: every solver loop already
- * polls its Deadline, so cancellation rides the existing plumbing.
+ * ancestor budget, or the token trips.  The repair driver chains the
+ * caller's cancel token into its root deadline, and at jobs>1 each
+ * template's deadline adds a horizon token that the scheduler trips
+ * once the template can no longer affect the outcome.  Every solver
+ * loop already polls its Deadline, so cancellation rides the existing
+ * plumbing.
  */
 class Deadline
 {

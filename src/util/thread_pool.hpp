@@ -1,15 +1,13 @@
 /**
  * @file
  * Small job-queue thread pool with cooperative work stealing, used by
- * the parallel repair portfolio.
+ * the template cascade at jobs>1.
  *
  * Tasks are arbitrary callables; submit() returns a std::future for
- * the task's result.  A thread that has to wait for a future (for
- * example a template task waiting on its window solves) should wait
- * through waitCollect()/help(), which pops and runs queued jobs
- * instead of blocking — so nested fan-out (portfolio tasks that
- * themselves submit window solves) cannot deadlock the pool, and the
- * waiting thread's core keeps doing useful work.
+ * the task's result.  A thread that has to wait for a future should
+ * wait through waitCollect()/help(), which pops and runs queued jobs
+ * instead of blocking — so nested fan-out cannot deadlock the pool,
+ * and the waiting thread's core keeps doing useful work.
  *
  * Long-running tasks are expected to poll a Deadline (optionally
  * derived from a CancelToken) so shutdown and first-success-wins

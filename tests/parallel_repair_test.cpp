@@ -1,8 +1,8 @@
-// Determinism contract of the parallel repair portfolio: for any
-// benchmark, jobs=1 (the serial cascade) and jobs=N must produce an
-// identical RepairOutcome — same status, winning template, change
-// count, repair window, patched source, and per-candidate stats —
-// regardless of thread timing.
+// Determinism contract of the template cascade: for any benchmark,
+// jobs=1 (templates inline, in order) and jobs=N (templates as pool
+// tasks) must produce an identical RepairOutcome — same status,
+// winning template, change count, repair window, patched source, and
+// per-candidate stats — regardless of thread timing.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -10,6 +10,7 @@
 
 #include "benchmarks/registry.hpp"
 #include "repair/driver.hpp"
+#include "templates/synth_vars.hpp"
 #include "verilog/printer.hpp"
 
 using namespace rtlrepair;
@@ -20,9 +21,9 @@ using repair::RepairOutcome;
 namespace {
 
 RepairOutcome
-runTool(const LoadedBenchmark &lb, unsigned jobs)
+runTool(const LoadedBenchmark &lb, unsigned jobs,
+        RepairConfig config = {})
 {
-    RepairConfig config;
     config.timeout_seconds = 60.0;
     config.x_policy = lb.def->x_policy;
     config.jobs = jobs;
@@ -54,11 +55,11 @@ fingerprint(const RepairOutcome &outcome)
 }
 
 void
-expectDeterministic(const std::string &name)
+expectDeterministic(const std::string &name, RepairConfig config = {})
 {
     const LoadedBenchmark &lb = load(name);
-    RepairOutcome serial = runTool(lb, 1);
-    RepairOutcome parallel = runTool(lb, 4);
+    RepairOutcome serial = runTool(lb, 1, config);
+    RepairOutcome parallel = runTool(lb, 4, config);
     if (serial.status == RepairOutcome::Status::Timeout ||
         parallel.status == RepairOutcome::Status::Timeout) {
         GTEST_SKIP() << name << ": hit the wall-clock budget, "
@@ -95,6 +96,43 @@ TEST(ParallelDeterminism, CounterW1NoRepair)
 }
 
 TEST(ParallelDeterminism, Sha3S1) { expectDeterministic("sha3_s1"); }
+
+// RepairConfig::only_template restricts the cascade to one template;
+// the filter must pick the same template at any job count.
+TEST(ParallelDeterminism, OnlyTemplate)
+{
+    for (const auto &tmpl : templates::standardTemplates()) {
+        SCOPED_TRACE(tmpl->name());
+        RepairConfig config;
+        config.only_template = tmpl->name();
+        expectDeterministic("counter_k1", config);
+        RepairOutcome outcome =
+            runTool(load("counter_k1"), 4, config);
+        for (const auto &c : outcome.candidates)
+            EXPECT_EQ(c.template_name, tmpl->name());
+    }
+}
+
+// A cancel token tripped before the run stops the cascade before any
+// template runs.  Both job counts report it the same way: a Timeout
+// flagged as cancelled, never the NoRepair of a finished search.
+TEST(ParallelDeterminism, PreCancelledRunIsATimeoutAtAnyJobCount)
+{
+    for (const char *name : {"counter_k1", "fsm_w1"}) {
+        for (unsigned jobs : {1u, 4u}) {
+            SCOPED_TRACE(std::string(name) + " jobs=" +
+                         std::to_string(jobs));
+            CancelToken cancel;
+            cancel.cancel();
+            RepairConfig config;
+            config.cancel = &cancel;
+            RepairOutcome outcome = runTool(load(name), jobs, config);
+            EXPECT_EQ(outcome.status, RepairOutcome::Status::Timeout);
+            EXPECT_TRUE(outcome.cancelled);
+            EXPECT_TRUE(outcome.candidates.empty());
+        }
+    }
+}
 
 // Sweep the whole CirFix registry so a determinism regression on any
 // benchmark class is caught, not just the hand-picked ones above.

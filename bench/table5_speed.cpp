@@ -139,7 +139,7 @@ measureSimThroughput()
     for (const auto &s : stims)
         sptr.push_back(&s);
     std::vector<trace::IoTrace> traces =
-        sim::vecEventRecordBatch(mod, lib, gen.clock, sptr);
+        sim::recordTraceBatch(mod, lib, gen.clock, sptr);
     std::vector<const trace::IoTrace *> tptr;
     for (const auto &t : traces)
         tptr.push_back(&t);
@@ -147,7 +147,7 @@ measureSimThroughput()
     // Warm both paths once so allocator and symbol-table setup costs
     // do not land inside the timed region of whichever runs first.
     (void)sim::eventReplay(mod, lib, gen.clock, traces[0]);
-    (void)sim::vecEventReplayBatch(mod, lib, gen.clock, tptr);
+    (void)sim::replayTraceBatch(mod, lib, gen.clock, tptr);
 
     SimThroughput t;
     t.stimuli = kStimuli;
@@ -165,7 +165,7 @@ measureSimThroughput()
     reps = 0;
     Stopwatch vw;
     do {
-        (void)sim::vecEventReplayBatch(mod, lib, gen.clock, tptr);
+        (void)sim::replayTraceBatch(mod, lib, gen.clock, tptr);
         ++reps;
     } while (vw.seconds() < kMinSeconds);
     t.vec_sps = double(reps * kStimuli) / vw.seconds();

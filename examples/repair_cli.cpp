@@ -70,7 +70,6 @@ usage(const char *prog)
     std::fprintf(stderr,
                  "usage: %s <buggy.v> <trace.csv> [--timeout S] "
                  "[--zero-x] [--jobs N] [--no-incremental] "
-                 "[--sim auto|event|vec] "
                  "[--out repaired.v] "
                  "[--report] [--inject-fault STAGE:KIND:NTH] "
                  "[--trace-out t.ndjson] [--perfetto-out t.json] "
@@ -186,10 +185,6 @@ run(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--no-incremental") == 0) {
             // Escape hatch: fresh-per-window reference engine.
             config.engine.incremental = false;
-        } else if (std::strcmp(argv[i], "--sim") == 0 &&
-                   i + 1 < argc) {
-            config.engine.sim_backend =
-                sim::parseSimBackend(argv[++i]);
         } else if (std::strcmp(argv[i], "--out") == 0 &&
                    i + 1 < argc) {
             out_path = argv[++i];

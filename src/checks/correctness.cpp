@@ -49,6 +49,7 @@ gateLevelReplay(const verilog::Module &mod,
     }
 }
 
+/** Event-driven replay verdict; an unsimulatable design fails. */
 bool
 eventReplayPassed(const verilog::Module &mod,
                   const std::vector<const verilog::Module *> &library,
@@ -56,29 +57,7 @@ eventReplayPassed(const verilog::Module &mod,
                   bool reverse)
 {
     try {
-        sim::ReplayResult result;
-        sim::EventSimulator sim(mod, library, clock, reverse);
-        for (size_t cycle = 0; cycle < io.length(); ++cycle) {
-            for (size_t i = 0; i < io.inputs.size(); ++i) {
-                if (io.inputs[i].name == clock)
-                    continue;
-                sim.setInput(io.inputs[i].name,
-                             io.input_rows[cycle][i]);
-            }
-            if (clock.empty())
-                sim.settleOnly();
-            else
-                sim.step();
-            if (sim.unstable())
-                return false;
-            for (size_t i = 0; i < io.outputs.size(); ++i) {
-                if (!sim.sampledOutput(io.outputs[i].name)
-                         .matches(io.output_rows[cycle][i])) {
-                    return false;
-                }
-            }
-        }
-        return true;
+        return sim::eventReplay(mod, library, clock, io, reverse).passed;
     } catch (const FatalError &) {
         return false;
     }

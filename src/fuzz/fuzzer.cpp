@@ -313,12 +313,11 @@ runCase(const FuzzCase &fcase, const FuzzConfig &config)
         //    unmutated design must reproduce its own recording.
         trace::IoTrace tb;
         try {
-            tb = sim::recordTrace(config.sim_backend, *m.golden,
-                                  m.library, m.clock, m.stim);
+            tb = sim::eventRecord(*m.golden, m.library, m.clock,
+                                  m.stim);
             maskHiddenOutputs(tb, m.hidden_outputs);
-            sim::ReplayResult self = sim::replayTrace(
-                config.sim_backend, *m.golden, m.library, m.clock,
-                tb);
+            sim::ReplayResult self =
+                sim::eventReplay(*m.golden, m.library, m.clock, tb);
             if (!self.passed) {
                 result.cls = RunClass::OracleMismatch;
                 result.detail =
@@ -349,9 +348,9 @@ runCase(const FuzzCase &fcase, const FuzzConfig &config)
         //    observable bug to repair.
         bool broke;
         try {
-            broke = !sim::replayTrace(config.sim_backend, *mutant,
-                                      m.library, m.clock, tb)
-                         .passed;
+            broke =
+                !sim::eventReplay(*mutant, m.library, m.clock, tb)
+                     .passed;
         } catch (const std::exception &) {
             broke = true;  // unsimulatable counts as broken
         }
@@ -382,7 +381,6 @@ runCase(const FuzzCase &fcase, const FuzzConfig &config)
         rc.seed = fcase.fresh_seed;
         rc.jobs = config.jobs == 0 ? 1 : config.jobs;
         rc.engine.incremental = config.incremental;
-        rc.engine.sim_backend = config.sim_backend;
         repair::RepairOutcome outcome;
         try {
             outcome =
@@ -437,8 +435,8 @@ runCase(const FuzzCase &fcase, const FuzzConfig &config)
         //    co-simulation on fresh random stimulus.
         const Module &rep = *outcome.repaired;
         try {
-            sim::ReplayResult drive = sim::replayTrace(
-                config.sim_backend, rep, m.library, m.clock, tb);
+            sim::ReplayResult drive =
+                sim::eventReplay(rep, m.library, m.clock, tb);
             if (!drive.passed) {
                 result.cls = RunClass::RepairedOverfit;
                 detail << "; repair fails driving trace under the "
@@ -464,15 +462,15 @@ runCase(const FuzzCase &fcase, const FuzzConfig &config)
             for (const auto &f : fresh)
                 fresh_ptrs.push_back(&f);
             std::vector<trace::IoTrace> fresh_tbs =
-                sim::recordTraceBatch(config.sim_backend, *m.golden,
-                                      m.library, m.clock, fresh_ptrs);
+                sim::recordTraceBatch(*m.golden, m.library, m.clock,
+                                      fresh_ptrs);
             for (auto &fresh_tb : fresh_tbs)
                 maskHiddenOutputs(fresh_tb, m.hidden_outputs);
             std::vector<const trace::IoTrace *> tb_ptrs;
             for (const auto &fresh_tb : fresh_tbs)
                 tb_ptrs.push_back(&fresh_tb);
             std::vector<sim::ReplayResult> cos = sim::replayTraceBatch(
-                config.sim_backend, rep, m.library, m.clock, tb_ptrs);
+                rep, m.library, m.clock, tb_ptrs);
             result.cls = RunClass::RepairedVerified;
             for (size_t i = 0; i < cos.size(); ++i) {
                 if (cos[i].passed)

@@ -44,7 +44,6 @@
 
 #include "fuzz/corpus.hpp"
 #include "repair/driver.hpp"
-#include "sim/sim_backend.hpp"
 
 namespace rtlrepair::fuzz {
 
@@ -125,10 +124,6 @@ struct FuzzConfig
     /** Persistent cross-window solver (false = `--no-incremental`
      *  fresh-per-window reference engine). */
     bool incremental = true;
-    /** Oracle/co-simulation backend (`--sim`).  Not part of FuzzCase:
-     *  both backends are replay-equivalent, so classifications do not
-     *  depend on it and corpus entries stay valid across backends. */
-    sim::SimBackend sim_backend = sim::SimBackend::Auto;
     /** Fresh co-simulation stimuli per claimed repair (seeds
      *  fresh_seed .. fresh_seed+N-1, batched through the vectorized
      *  simulator).  1 = the classic single check. */

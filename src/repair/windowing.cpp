@@ -1,5 +1,6 @@
 #include "repair/windowing.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "sim/vec_sim.hpp"
@@ -110,10 +111,11 @@ WindowLadder::growFuture(size_t latest_failure)
 
 ConcreteRunner::ConcreteRunner(const ir::TransitionSystem &sys,
                                const trace::IoTrace &resolved,
-                               std::vector<Value> init,
-                               sim::SimBackend backend)
+                               std::vector<Value> init)
     : _sys(sys), _io(resolved), _init(std::move(init)),
-      _backend(backend),
+      _packable(std::all_of(
+          sys.nodes.begin(), sys.nodes.end(),
+          [](const ir::Node &n) { return n.width <= 64; })),
       _interp(sys, sim::SimOptions{sim::XPolicy::Keep,
                                    sim::XPolicy::Keep, 1})
 {
@@ -193,22 +195,7 @@ std::vector<sim::ReplayResult>
 ConcreteRunner::runBatch(const std::vector<SynthAssignment> &assignments)
 {
     std::vector<sim::ReplayResult> out(assignments.size());
-    sim::SimBackend resolved = sim::resolveSimBackend(_backend);
-    bool scalar =
-        resolved == sim::SimBackend::Event || assignments.size() <= 1;
-    if (resolved == sim::SimBackend::Auto && !scalar) {
-        // The packed representation stores one word per bit position,
-        // so a transposed op costs ~width words where the scalar
-        // interpreter pays one.  Wide datapaths (sha3-class, >64-bit
-        // nets) erase the 64-lane sharing win; let Auto keep those on
-        // the scalar path and reserve the packed interpreter for the
-        // narrow control-logic designs it accelerates.
-        uint32_t maxw = 0;
-        for (const auto &node : _sys.nodes)
-            maxw = std::max(maxw, node.width);
-        scalar = maxw > 64;
-    }
-    if (scalar) {
+    if (assignments.size() <= 1 || !_packable) {
         for (size_t i = 0; i < assignments.size(); ++i)
             out[i] = run(assignments[i]);
         return out;
@@ -383,7 +370,7 @@ runEngine(const ir::TransitionSystem &sys,
           const Deadline *deadline)
 {
     EngineResult result;
-    ConcreteRunner runner(sys, resolved, init, config.sim_backend);
+    ConcreteRunner runner(sys, resolved, init);
 
     // Baseline run: the unmodified circuit (all φ off).
     sim::ReplayResult base = runner.run(SynthAssignment{});

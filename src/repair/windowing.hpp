@@ -24,7 +24,6 @@
 #include "repair/guarded.hpp"
 #include "repair/synthesizer.hpp"
 #include "sim/interpreter.hpp"
-#include "sim/sim_backend.hpp"
 
 namespace rtlrepair::repair {
 
@@ -49,11 +48,6 @@ struct EngineConfig
     /** Peak-RSS watermark in KiB; when the process peak crosses it,
      *  no further window solves are launched (0 = disabled). */
     size_t max_rss_kb = 0;
-    /** Candidate-validation simulator: Auto/Vec validate multi-
-     *  candidate batches on the 64-lane packed interpreter, Event on
-     *  the scalar one.  Identical results either way; Vec is faster
-     *  when a window yields several candidates. */
-    sim::SimBackend sim_backend = sim::SimBackend::Auto;
 };
 
 /** Per-window-candidate solve statistics (Table 5 / portfolio). */
@@ -168,8 +162,7 @@ class ConcreteRunner
     /** @p init one fully-known value per state. */
     ConcreteRunner(const ir::TransitionSystem &sys,
                    const trace::IoTrace &resolved,
-                   std::vector<bv::Value> init,
-                   sim::SimBackend backend = sim::SimBackend::Auto);
+                   std::vector<bv::Value> init);
 
     /** Replay with @p assignment; stops at the first mismatch. */
     sim::ReplayResult run(const templates::SynthAssignment &assignment);
@@ -177,8 +170,9 @@ class ConcreteRunner
     /**
      * Replay every assignment, stopping each at its first mismatch.
      * Result i corresponds to assignment i and is identical to
-     * run(assignments[i]); the vectorized backend packs up to 64
-     * candidates per pass.
+     * run(assignments[i]).  More than one candidate on a design
+     * whose widest net is at most 64 bits runs on VecInterpreter, up
+     * to 64 candidates per pass; anything else runs run() in turn.
      */
     std::vector<sim::ReplayResult>
     runBatch(const std::vector<templates::SynthAssignment> &assignments);
@@ -207,7 +201,10 @@ class ConcreteRunner
     const ir::TransitionSystem &_sys;
     const trace::IoTrace &_io;
     std::vector<bv::Value> _init;
-    sim::SimBackend _backend;
+    /** Widest net is at most 64 bits: the packed interpreter pays one
+     *  word per bit position, so wider datapaths (sha3-class) lose
+     *  the 64-lane sharing win and stay on the scalar path. */
+    bool _packable;
     sim::Interpreter _interp;
     std::vector<int> _input_map;   ///< trace col -> input index
     std::vector<int> _output_map;  ///< trace col -> output index

@@ -741,10 +741,11 @@ EventSimulator::evalBinary(const BinaryExpr &b, uint32_t ctx) const
 ReplayResult
 eventReplay(const Module &mod,
             const std::vector<const Module *> &library,
-            const std::string &clock, const trace::IoTrace &io)
+            const std::string &clock, const trace::IoTrace &io,
+            bool reverse_order)
 {
     ReplayResult result;
-    EventSimulator sim(mod, library, clock);
+    EventSimulator sim(mod, library, clock, reverse_order);
     for (size_t cycle = 0; cycle < io.length(); ++cycle) {
         for (size_t i = 0; i < io.inputs.size(); ++i) {
             if (io.inputs[i].name == clock)

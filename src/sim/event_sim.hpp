@@ -124,13 +124,15 @@ class EventSimulator
 /**
  * Replay @p io against an event-driven simulation of @p mod; outputs
  * are checked each cycle before the clock edge.  @p clock may be
- * empty for purely combinational designs.
+ * empty for purely combinational designs.  @p reverse_order runs the
+ * simulator with reversed process order (EventSimulator).
  */
 ReplayResult eventReplay(const verilog::Module &mod,
                          const std::vector<const verilog::Module *>
                              &library,
                          const std::string &clock,
-                         const trace::IoTrace &io);
+                         const trace::IoTrace &io,
+                         bool reverse_order = false);
 
 /** Record a golden trace with event-driven semantics. */
 trace::IoTrace eventRecord(const verilog::Module &mod,

@@ -1,5 +1,6 @@
 #include "sim/interpreter.hpp"
 
+#include "bv/packed_value.hpp"
 #include "util/logging.hpp"
 #include "util/strings.hpp"
 
@@ -10,18 +11,73 @@ using ir::Node;
 using ir::NodeKind;
 using ir::NodeRef;
 
+template <typename V>
+NodeLoop<V>::NodeLoop(const ir::TransitionSystem &sys,
+                      std::vector<V> consts)
+    : _sys(sys), _consts(std::move(consts)),
+      _node_vals(sys.nodes.size()), _state_vals(sys.states.size())
+{
+    _input_vals.reserve(sys.inputs.size());
+    for (const auto &in : sys.inputs)
+        _input_vals.push_back(V::allX(in.width));
+    _synth_vals.reserve(sys.synth_vars.size());
+    for (const auto &var : sys.synth_vars)
+        _synth_vals.push_back(V::zeros(var.width));
+}
+
+template <typename V>
+void
+NodeLoop<V>::evalCycle()
+{
+    for (NodeRef ref = 0; ref < _sys.nodes.size(); ++ref) {
+        const Node &n = _sys.nodes[ref];
+        switch (n.kind) {
+          case NodeKind::Const:
+            _node_vals[ref] = _consts[n.index];
+            break;
+          case NodeKind::Input:
+            _node_vals[ref] = _input_vals[n.index];
+            break;
+          case NodeKind::SynthVar:
+            _node_vals[ref] = _synth_vals[n.index];
+            break;
+          case NodeKind::State:
+            _node_vals[ref] = _state_vals[n.index];
+            break;
+          default: {
+            const V *a0 = &_node_vals[n.args[0]];
+            const V *a1 = n.args[1] != ir::kNullRef
+                              ? &_node_vals[n.args[1]]
+                              : nullptr;
+            const V *a2 = n.args[2] != ir::kNullRef
+                              ? &_node_vals[n.args[2]]
+                              : nullptr;
+            _node_vals[ref] = ir::evalOp(n, a0, a1, a2);
+            break;
+          }
+        }
+    }
+    _cycle_valid = true;
+}
+
+template <typename V>
+void
+NodeLoop<V>::step()
+{
+    if (!_cycle_valid)
+        evalCycle();
+    for (size_t i = 0; i < _sys.states.size(); ++i)
+        _state_vals[i] = _node_vals[_sys.states[i].next];
+    _cycle_valid = false;
+}
+
+template class NodeLoop<Value>;
+template class NodeLoop<bv::PackedValue>;
+
 Interpreter::Interpreter(const ir::TransitionSystem &sys,
                          SimOptions options)
-    : _sys(sys), _options(options), _rng(options.seed)
+    : NodeLoop(sys, sys.consts), _options(options), _rng(options.seed)
 {
-    _node_vals.resize(_sys.nodes.size());
-    _state_vals.resize(_sys.states.size());
-    _input_vals.resize(_sys.inputs.size());
-    _synth_vals.resize(_sys.synth_vars.size());
-    for (size_t i = 0; i < _sys.inputs.size(); ++i)
-        _input_vals[i] = Value::allX(_sys.inputs[i].width);
-    for (size_t i = 0; i < _sys.synth_vars.size(); ++i)
-        _synth_vals[i] = Value::zeros(_sys.synth_vars[i].width);
     reset();
 }
 
@@ -99,50 +155,6 @@ Interpreter::setState(size_t index, const Value &value)
     check(value.width() == _sys.states[index].width,
           "state width mismatch");
     _state_vals[index] = value;
-    _cycle_valid = false;
-}
-
-void
-Interpreter::evalCycle()
-{
-    for (NodeRef ref = 0; ref < _sys.nodes.size(); ++ref) {
-        const Node &n = _sys.nodes[ref];
-        switch (n.kind) {
-          case NodeKind::Const:
-            _node_vals[ref] = _sys.consts[n.index];
-            break;
-          case NodeKind::Input:
-            _node_vals[ref] = _input_vals[n.index];
-            break;
-          case NodeKind::SynthVar:
-            _node_vals[ref] = _synth_vals[n.index];
-            break;
-          case NodeKind::State:
-            _node_vals[ref] = _state_vals[n.index];
-            break;
-          default: {
-            const Value *a0 = &_node_vals[n.args[0]];
-            const Value *a1 =
-                n.args[1] != ir::kNullRef ? &_node_vals[n.args[1]]
-                                          : nullptr;
-            const Value *a2 =
-                n.args[2] != ir::kNullRef ? &_node_vals[n.args[2]]
-                                          : nullptr;
-            _node_vals[ref] = ir::evalOp(n, a0, a1, a2);
-            break;
-          }
-        }
-    }
-    _cycle_valid = true;
-}
-
-void
-Interpreter::step()
-{
-    if (!_cycle_valid)
-        evalCycle();
-    for (size_t i = 0; i < _sys.states.size(); ++i)
-        _state_vals[i] = _node_vals[_sys.states[i].next];
     _cycle_valid = false;
 }
 

@@ -33,8 +33,39 @@ struct SimOptions
     uint64_t seed = 1;
 };
 
+/**
+ * Per-cycle value tables of one TransitionSystem and the node loop
+ * over them: one forward sweep loads each leaf from its table and
+ * evaluates each operator through ir::evalOp.  @p V is bv::Value for
+ * Interpreter and bv::PackedValue (64 lanes) for VecInterpreter; both
+ * run this one loop.
+ */
+template <typename V>
+class NodeLoop
+{
+  public:
+    /** Evaluate all combinational values for the current cycle. */
+    void evalCycle();
+
+    /** evalCycle() then latch every state's next value. */
+    void step();
+
+  protected:
+    /** Inputs start all-X, synthesis variables zero; @p consts holds
+     *  one value per entry of sys.consts. */
+    NodeLoop(const ir::TransitionSystem &sys, std::vector<V> consts);
+
+    const ir::TransitionSystem &_sys;
+    std::vector<V> _consts;
+    std::vector<V> _node_vals;   ///< per-cycle node values
+    std::vector<V> _state_vals;  ///< current state values
+    std::vector<V> _input_vals;
+    std::vector<V> _synth_vals;
+    bool _cycle_valid = false;
+};
+
 /** Executes one TransitionSystem cycle by cycle. */
-class Interpreter
+class Interpreter : public NodeLoop<bv::Value>
 {
   public:
     explicit Interpreter(const ir::TransitionSystem &sys,
@@ -56,12 +87,6 @@ class Interpreter
     /** Force a state value (used to seed repair windows). */
     void setState(size_t index, const bv::Value &value);
 
-    /** Evaluate all combinational values for the current cycle. */
-    void evalCycle();
-
-    /** evalCycle() then latch every state's next value. */
-    void step();
-
     /** @name Value access (valid after evalCycle/step) @{ */
     const bv::Value &valueOf(ir::NodeRef ref) const;
     const bv::Value &output(size_t index) const;
@@ -73,14 +98,8 @@ class Interpreter
   private:
     bv::Value applyPolicy(const bv::Value &v, XPolicy policy);
 
-    const ir::TransitionSystem &_sys;
     SimOptions _options;
     Rng _rng;
-    std::vector<bv::Value> _node_vals;   ///< per-cycle node values
-    std::vector<bv::Value> _state_vals;  ///< current state values
-    std::vector<bv::Value> _input_vals;
-    std::vector<bv::Value> _synth_vals;
-    bool _cycle_valid = false;
 };
 
 /** Result of replaying an I/O trace against a design. */

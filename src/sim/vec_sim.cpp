@@ -1045,13 +1045,11 @@ vecRecordChunk(const Module &mod,
     }
 }
 
-} // namespace
-
+/** The 64-lane replay chunk loop with its scalar fallback. */
 std::vector<ReplayResult>
-vecEventReplayBatch(const Module &mod,
-                    const std::vector<const Module *> &library,
-                    const std::string &clock,
-                    const std::vector<const trace::IoTrace *> &traces)
+vecReplay(const Module &mod, const std::vector<const Module *> &library,
+          const std::string &clock,
+          const std::vector<const trace::IoTrace *> &traces)
 {
     std::vector<ReplayResult> out(traces.size());
     for (size_t base = 0; base < traces.size();
@@ -1083,11 +1081,11 @@ vecEventReplayBatch(const Module &mod,
     return out;
 }
 
+/** The 64-lane record chunk loop with its scalar fallback. */
 std::vector<trace::IoTrace>
-vecEventRecordBatch(
-    const Module &mod, const std::vector<const Module *> &library,
-    const std::string &clock,
-    const std::vector<const trace::InputSequence *> &stims)
+vecRecord(const Module &mod, const std::vector<const Module *> &library,
+          const std::string &clock,
+          const std::vector<const trace::InputSequence *> &stims)
 {
     std::vector<trace::IoTrace> out(stims.size());
     for (size_t base = 0; base < stims.size();
@@ -1116,37 +1114,16 @@ vecEventRecordBatch(
     return out;
 }
 
-ReplayResult
-replayTrace(SimBackend backend, const Module &mod,
-            const std::vector<const Module *> &library,
-            const std::string &clock, const trace::IoTrace &io)
-{
-    if (resolveSimBackend(backend) == SimBackend::Vec)
-        return vecEventReplayBatch(mod, library, clock, {&io})[0];
-    return eventReplay(mod, library, clock, io);
-}
-
-trace::IoTrace
-recordTrace(SimBackend backend, const Module &mod,
-            const std::vector<const Module *> &library,
-            const std::string &clock, const trace::InputSequence &stim)
-{
-    if (resolveSimBackend(backend) == SimBackend::Vec)
-        return vecEventRecordBatch(mod, library, clock, {&stim})[0];
-    return eventRecord(mod, library, clock, stim);
-}
+} // namespace
 
 std::vector<ReplayResult>
-replayTraceBatch(SimBackend backend, const Module &mod,
+replayTraceBatch(const Module &mod,
                  const std::vector<const Module *> &library,
                  const std::string &clock,
                  const std::vector<const trace::IoTrace *> &traces)
 {
-    SimBackend resolved = resolveSimBackend(backend);
-    bool scalar = resolved == SimBackend::Event ||
-                  (resolved == SimBackend::Auto && traces.size() <= 1);
-    if (!scalar)
-        return vecEventReplayBatch(mod, library, clock, traces);
+    if (traces.size() > 1)
+        return vecReplay(mod, library, clock, traces);
     std::vector<ReplayResult> out;
     out.reserve(traces.size());
     for (const auto *io : traces)
@@ -1155,21 +1132,38 @@ replayTraceBatch(SimBackend backend, const Module &mod,
 }
 
 std::vector<trace::IoTrace>
-recordTraceBatch(SimBackend backend, const Module &mod,
+recordTraceBatch(const Module &mod,
                  const std::vector<const Module *> &library,
                  const std::string &clock,
                  const std::vector<const trace::InputSequence *> &stims)
 {
-    SimBackend resolved = resolveSimBackend(backend);
-    bool scalar = resolved == SimBackend::Event ||
-                  (resolved == SimBackend::Auto && stims.size() <= 1);
-    if (!scalar)
-        return vecEventRecordBatch(mod, library, clock, stims);
+    if (stims.size() > 1)
+        return vecRecord(mod, library, clock, stims);
     std::vector<trace::IoTrace> out;
     out.reserve(stims.size());
     for (const auto *stim : stims)
         out.push_back(eventRecord(mod, library, clock, *stim));
     return out;
+}
+
+ReplayResult
+replayTrace(SimBackend backend, const Module &mod,
+            const std::vector<const Module *> &library,
+            const std::string &clock, const trace::IoTrace &io)
+{
+    if (backend == SimBackend::Vec)
+        return vecReplay(mod, library, clock, {&io})[0];
+    return eventReplay(mod, library, clock, io);
+}
+
+trace::IoTrace
+recordTrace(SimBackend backend, const Module &mod,
+            const std::vector<const Module *> &library,
+            const std::string &clock, const trace::InputSequence &stim)
+{
+    if (backend == SimBackend::Vec)
+        return vecRecord(mod, library, clock, {&stim})[0];
+    return eventRecord(mod, library, clock, stim);
 }
 
 // ----------------------------------------------------------------
@@ -1178,61 +1172,26 @@ recordTraceBatch(SimBackend backend, const Module &mod,
 
 namespace {
 
-PackedValue
-evalOpPacked(const ir::Node &node, const PackedValue *a0,
-             const PackedValue *a1, const PackedValue *a2)
+/** Every constant of @p sys broadcast to all lanes, once per run. */
+std::vector<PackedValue>
+broadcastConsts(const ir::TransitionSystem &sys)
 {
-    using ir::NodeKind;
-    switch (node.kind) {
-      case NodeKind::Not: return ~*a0;
-      case NodeKind::Neg: return a0->negate();
-      case NodeKind::RedAnd: return a0->redAnd();
-      case NodeKind::RedOr: return a0->redOr();
-      case NodeKind::RedXor: return a0->redXor();
-      case NodeKind::And: return *a0 & *a1;
-      case NodeKind::Or: return *a0 | *a1;
-      case NodeKind::Xor: return *a0 ^ *a1;
-      case NodeKind::Add: return *a0 + *a1;
-      case NodeKind::Sub: return *a0 - *a1;
-      case NodeKind::Mul: return *a0 * *a1;
-      case NodeKind::UDiv: return a0->udiv(*a1);
-      case NodeKind::URem: return a0->urem(*a1);
-      case NodeKind::Shl: return a0->shl(*a1);
-      case NodeKind::LShr: return a0->lshr(*a1);
-      case NodeKind::AShr: return a0->ashr(*a1);
-      case NodeKind::Eq: return a0->eq(*a1);
-      case NodeKind::Ult: return a0->ult(*a1);
-      case NodeKind::Ule: return a0->ule(*a1);
-      case NodeKind::Slt: return a0->slt(*a1);
-      case NodeKind::Sle: return a0->sle(*a1);
-      case NodeKind::Concat: return a0->concat(*a1);
-      case NodeKind::Slice: return a0->slice(node.a, node.b);
-      case NodeKind::Ite:
-        return PackedValue::ite(*a0, *a1, *a2);
-      case NodeKind::ZExt: return a0->zext(node.width);
-      case NodeKind::SExt: return a0->sext(node.width);
-      default:
-        panic("evalOpPacked on leaf node");
-    }
+    std::vector<PackedValue> out;
+    out.reserve(sys.consts.size());
+    for (const Value &c : sys.consts)
+        out.push_back(PackedValue::broadcast(c));
+    return out;
 }
 
 } // namespace
 
 VecInterpreter::VecInterpreter(const ir::TransitionSystem &sys,
                                uint32_t nlanes)
-    : _sys(sys), _nlanes(nlanes)
+    : NodeLoop(sys, broadcastConsts(sys)), _nlanes(nlanes)
 {
     check(nlanes >= 1 && nlanes <= PackedValue::kLanes,
           "lane count out of range");
     _all = nlanes == 64 ? ~0ull : ((1ull << nlanes) - 1ull);
-    _node_vals.resize(_sys.nodes.size());
-    _state_vals.resize(_sys.states.size());
-    _input_vals.resize(_sys.inputs.size());
-    _synth_vals.resize(_sys.synth_vars.size());
-    for (size_t i = 0; i < _sys.inputs.size(); ++i)
-        _input_vals[i] = PackedValue::allX(_sys.inputs[i].width);
-    for (size_t i = 0; i < _sys.synth_vars.size(); ++i)
-        _synth_vals[i] = PackedValue::zeros(_sys.synth_vars[i].width);
     reset();
 }
 
@@ -1280,54 +1239,6 @@ VecInterpreter::setStateAll(size_t index, const Value &value)
     check(value.width() == _sys.states[index].width,
           "state width mismatch");
     _state_vals[index] = PackedValue::broadcast(value);
-    _cycle_valid = false;
-}
-
-void
-VecInterpreter::evalCycle()
-{
-    using ir::Node;
-    using ir::NodeKind;
-    using ir::NodeRef;
-    for (NodeRef ref = 0; ref < _sys.nodes.size(); ++ref) {
-        const Node &n = _sys.nodes[ref];
-        switch (n.kind) {
-          case NodeKind::Const:
-            _node_vals[ref] =
-                PackedValue::broadcast(_sys.consts[n.index]);
-            break;
-          case NodeKind::Input:
-            _node_vals[ref] = _input_vals[n.index];
-            break;
-          case NodeKind::SynthVar:
-            _node_vals[ref] = _synth_vals[n.index];
-            break;
-          case NodeKind::State:
-            _node_vals[ref] = _state_vals[n.index];
-            break;
-          default: {
-            const PackedValue *a0 = &_node_vals[n.args[0]];
-            const PackedValue *a1 =
-                n.args[1] != ir::kNullRef ? &_node_vals[n.args[1]]
-                                          : nullptr;
-            const PackedValue *a2 =
-                n.args[2] != ir::kNullRef ? &_node_vals[n.args[2]]
-                                          : nullptr;
-            _node_vals[ref] = evalOpPacked(n, a0, a1, a2);
-            break;
-          }
-        }
-    }
-    _cycle_valid = true;
-}
-
-void
-VecInterpreter::step()
-{
-    if (!_cycle_valid)
-        evalCycle();
-    for (size_t i = 0; i < _sys.states.size(); ++i)
-        _state_vals[i] = _node_vals[_sys.states[i].next];
     _cycle_valid = false;
 }
 

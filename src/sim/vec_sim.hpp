@@ -41,7 +41,6 @@
 #include "bv/packed_value.hpp"
 #include "sim/event_sim.hpp"
 #include "sim/interpreter.hpp"
-#include "sim/sim_backend.hpp"
 #include "verilog/ast.hpp"
 
 namespace rtlrepair::sim {
@@ -150,31 +149,34 @@ class VecEventSimulator
     uint64_t _frozen = 0;
 };
 
-/**
- * Replay up to any number of traces (chunked 64 lanes at a time)
- * against the vectorized simulator; falls back to per-trace scalar
- * simulation when the design throws VecUnsupported or the traces
+/** Simulator for the single-trace replayTrace / recordTrace, for the
+ *  callers that must pin one (the lane-0 registry check, the
+ *  time-to-verdict benchmark). */
+enum class SimBackend
+{
+    Event,  ///< scalar event-driven simulator
+    Vec,    ///< the 64-lane simulator running one lane
+};
+
+/** @name Event-level simulation entry points
+ * The batch forms pick the simulator from the input: one trace runs on
+ * the scalar EventSimulator, more than one on VecEventSimulator,
+ * chunked 64 lanes at a time.  A chunk falls back to per-trace scalar
+ * simulation when the design throws VecUnsupported or its traces
  * disagree on column structure.  Result i corresponds to trace i.
- */
-std::vector<ReplayResult> vecEventReplayBatch(
+ * @{ */
+std::vector<ReplayResult> replayTraceBatch(
     const verilog::Module &mod,
     const std::vector<const verilog::Module *> &library,
     const std::string &clock,
     const std::vector<const trace::IoTrace *> &traces);
 
-/** Batched golden-trace recording; same fallback rules as replay. */
-std::vector<trace::IoTrace> vecEventRecordBatch(
+std::vector<trace::IoTrace> recordTraceBatch(
     const verilog::Module &mod,
     const std::vector<const verilog::Module *> &library,
     const std::string &clock,
     const std::vector<const trace::InputSequence *> &stims);
 
-/** @name Backend-dispatching entry points
- * Single-trace wrappers: an explicit (or env-resolved) Vec request
- * runs the vectorized backend with one lane, anything else the scalar
- * simulator.  The batch forms use the vectorized backend unless Event
- * is requested.
- * @{ */
 ReplayResult replayTrace(SimBackend backend, const verilog::Module &mod,
                          const std::vector<const verilog::Module *>
                              &library,
@@ -187,22 +189,10 @@ trace::IoTrace recordTrace(SimBackend backend,
                                &library,
                            const std::string &clock,
                            const trace::InputSequence &stim);
-
-std::vector<ReplayResult> replayTraceBatch(
-    SimBackend backend, const verilog::Module &mod,
-    const std::vector<const verilog::Module *> &library,
-    const std::string &clock,
-    const std::vector<const trace::IoTrace *> &traces);
-
-std::vector<trace::IoTrace> recordTraceBatch(
-    SimBackend backend, const verilog::Module &mod,
-    const std::vector<const verilog::Module *> &library,
-    const std::string &clock,
-    const std::vector<const trace::InputSequence *> &stims);
 /** @} */
 
 /** Packed-plane interpreter: 64 transition-system runs at once. */
-class VecInterpreter
+class VecInterpreter : public NodeLoop<bv::PackedValue>
 {
   public:
     explicit VecInterpreter(const ir::TransitionSystem &sys,
@@ -219,22 +209,13 @@ class VecInterpreter
     /** Same state seed in every lane. */
     void setStateAll(size_t index, const bv::Value &value);
 
-    void evalCycle();
-    void step();
-
     const bv::PackedValue &output(size_t index) const;
     uint32_t lanes() const { return _nlanes; }
     uint64_t allLanes() const { return _all; }
 
   private:
-    const ir::TransitionSystem &_sys;
     uint32_t _nlanes;
     uint64_t _all;
-    std::vector<bv::PackedValue> _node_vals;
-    std::vector<bv::PackedValue> _state_vals;
-    std::vector<bv::PackedValue> _input_vals;
-    std::vector<bv::PackedValue> _synth_vals;
-    bool _cycle_valid = false;
 };
 
 } // namespace rtlrepair::sim

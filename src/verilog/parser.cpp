@@ -113,13 +113,16 @@ class Parser
 
     // -- node helpers -------------------------------------------------
 
+    /** Own a freshly allocated node at once (a later parse error
+     *  must not leak it) and give it an id and @p loc. */
     template <typename T>
-    T *
+    std::unique_ptr<T>
     tag(T *node, SourceLoc loc)
     {
-        node->id = _module->newNodeId();
-        node->loc = loc;
-        return node;
+        std::unique_ptr<T> owned(node);
+        owned->id = _module->newNodeId();
+        owned->loc = loc;
+        return owned;
     }
 
     ExprPtr
@@ -206,14 +209,14 @@ class Parser
             port.dir = dir;
             _module->ports.push_back(port);
             if (have_decl) {
-                auto *decl = tag(new NetDecl(), name_tok.loc);
+                auto decl = tag(new NetDecl(), name_tok.loc);
                 decl->name = name_tok.text;
                 decl->net = net;
                 decl->is_signed = is_signed;
                 decl->dir = dir;
                 decl->msb = msb ? msb->clone() : nullptr;
                 decl->lsb = lsb ? lsb->clone() : nullptr;
-                _items->emplace_back(decl);
+                _items->emplace_back(std::move(decl));
             }
         } while (accept(TokenKind::Comma));
     }
@@ -264,9 +267,9 @@ class Parser
           case TokenKind::KwInitial: {
             SourceLoc loc = peek().loc;
             advance();
-            auto *item = tag(new InitialBlock(), loc);
+            auto item = tag(new InitialBlock(), loc);
             item->body = parseStmt();
-            _items->emplace_back(item);
+            _items->emplace_back(std::move(item));
             return;
           }
           case TokenKind::Identifier:
@@ -305,9 +308,9 @@ class Parser
         expect(TokenKind::KwGenvar);
         do {
             const Token &name_tok = expect(TokenKind::Identifier);
-            auto *decl = tag(new GenvarDecl(), name_tok.loc);
+            auto decl = tag(new GenvarDecl(), name_tok.loc);
             decl->name = name_tok.text;
-            _items->emplace_back(decl);
+            _items->emplace_back(std::move(decl));
         } while (accept(TokenKind::Comma));
         expect(TokenKind::Semicolon);
     }
@@ -356,7 +359,7 @@ class Parser
     {
         SourceLoc loc = peek().loc;
         expect(TokenKind::KwFor);
-        auto *item = tag(new GenFor(), loc);
+        auto item = tag(new GenFor(), loc);
         expect(TokenKind::LParen);
         item->genvar = expect(TokenKind::Identifier).text;
         expect(TokenKind::Equals);
@@ -373,7 +376,7 @@ class Parser
         item->step = parseExpr();
         expect(TokenKind::RParen);
         item->label = parseGenBlock(item->body);
-        _items->emplace_back(item);
+        _items->emplace_back(std::move(item));
     }
 
     void
@@ -381,7 +384,7 @@ class Parser
     {
         SourceLoc loc = peek().loc;
         expect(TokenKind::KwIf);
-        auto *item = tag(new GenIf(), loc);
+        auto item = tag(new GenIf(), loc);
         expect(TokenKind::LParen);
         item->cond = parseExpr();
         expect(TokenKind::RParen);
@@ -397,7 +400,7 @@ class Parser
                 item->else_label = parseGenBlock(item->else_items);
             }
         }
-        _items->emplace_back(item);
+        _items->emplace_back(std::move(item));
     }
 
     // -- functions ----------------------------------------------------
@@ -423,7 +426,7 @@ class Parser
     {
         SourceLoc loc = peek().loc;
         expect(TokenKind::KwFunction);
-        auto *item = tag(new FunctionDecl(), loc);
+        auto item = tag(new FunctionDecl(), loc);
         bool ret_integer = false;
         parseFunctionVarType(item->ret_msb, item->ret_lsb, ret_integer);
         if (ret_integer) {
@@ -489,7 +492,7 @@ class Parser
 
         item->body = parseStmt();
         expect(TokenKind::KwEndfunction);
-        _items->emplace_back(item);
+        _items->emplace_back(std::move(item));
     }
 
     ExprPtr
@@ -529,14 +532,14 @@ class Parser
                     existing->lsb = lsb->clone();
                 }
             } else {
-                auto *decl = tag(new NetDecl(), name_tok.loc);
+                auto decl = tag(new NetDecl(), name_tok.loc);
                 decl->name = name_tok.text;
                 decl->net = net;
                 decl->is_signed = is_signed;
                 decl->dir = dir;
                 decl->msb = msb ? msb->clone() : nullptr;
                 decl->lsb = lsb ? lsb->clone() : nullptr;
-                _items->emplace_back(decl);
+                _items->emplace_back(std::move(decl));
             }
             // Record direction on the port list for non-ANSI headers.
             for (auto &port : _module->ports) {
@@ -586,7 +589,7 @@ class Parser
                     existing->lsb = lsb->clone();
                 }
             } else {
-                auto *decl = tag(new NetDecl(), name_tok.loc);
+                auto decl = tag(new NetDecl(), name_tok.loc);
                 decl->name = name_tok.text;
                 decl->net = net;
                 decl->is_signed = is_signed;
@@ -594,14 +597,14 @@ class Parser
                 decl->lsb = lsb ? lsb->clone() : nullptr;
                 decl->arr_msb = std::move(arr_msb);
                 decl->arr_lsb = std::move(arr_lsb);
-                _items->emplace_back(decl);
+                _items->emplace_back(std::move(decl));
             }
             if (accept(TokenKind::Equals)) {
                 // Wire initializer is sugar for a continuous assign.
-                auto *assign = tag(new ContAssign(), name_tok.loc);
+                auto assign = tag(new ContAssign(), name_tok.loc);
                 assign->lhs = makeIdent(name_tok.text, name_tok.loc);
                 assign->rhs = parseExpr();
-                _items->emplace_back(assign);
+                _items->emplace_back(std::move(assign));
             }
         } while (accept(TokenKind::Comma));
         expect(TokenKind::Semicolon);
@@ -614,10 +617,10 @@ class Parser
         advance();
         do {
             const Token &name_tok = expect(TokenKind::Identifier);
-            auto *decl = tag(new NetDecl(), loc);
+            auto decl = tag(new NetDecl(), loc);
             decl->name = name_tok.text;
             decl->net = NetKind::Integer;
-            _items->emplace_back(decl);
+            _items->emplace_back(std::move(decl));
         } while (accept(TokenKind::Comma));
         expect(TokenKind::Semicolon);
     }
@@ -633,11 +636,11 @@ class Parser
         while (true) {
             const Token &name_tok = expect(TokenKind::Identifier);
             expect(TokenKind::Equals);
-            auto *decl = tag(new ParamDecl(), name_tok.loc);
+            auto decl = tag(new ParamDecl(), name_tok.loc);
             decl->name = name_tok.text;
             decl->is_local = is_local;
             decl->value = parseExpr();
-            _items->emplace_back(decl);
+            _items->emplace_back(std::move(decl));
             if (stop_at_paren)
                 return; // caller handles the comma between `parameter`s
             if (!accept(TokenKind::Comma))
@@ -655,10 +658,10 @@ class Parser
             SourceLoc loc = peek().loc;
             ExprPtr lhs = parseLValue();
             expect(TokenKind::Equals);
-            auto *item = tag(new ContAssign(), loc);
+            auto item = tag(new ContAssign(), loc);
             item->lhs = std::move(lhs);
             item->rhs = parseExpr();
-            _items->emplace_back(item);
+            _items->emplace_back(std::move(item));
         } while (accept(TokenKind::Comma));
         expect(TokenKind::Semicolon);
     }
@@ -668,7 +671,7 @@ class Parser
     {
         SourceLoc loc = peek().loc;
         expect(TokenKind::KwAlways);
-        auto *item = tag(new AlwaysBlock(), loc);
+        auto item = tag(new AlwaysBlock(), loc);
         expect(TokenKind::At);
         if (accept(TokenKind::Star)) {
             item->sensitivity.push_back(
@@ -695,14 +698,14 @@ class Parser
             expect(TokenKind::RParen);
         }
         item->body = parseStmt();
-        _items->emplace_back(item);
+        _items->emplace_back(std::move(item));
     }
 
     void
     parseInstance()
     {
         SourceLoc loc = peek().loc;
-        auto *item = tag(new Instance(), loc);
+        auto item = tag(new Instance(), loc);
         item->module_name = expect(TokenKind::Identifier).text;
         if (accept(TokenKind::Hash)) {
             expect(TokenKind::LParen);
@@ -715,7 +718,7 @@ class Parser
             item->ports = parseConnections();
         expect(TokenKind::RParen);
         expect(TokenKind::Semicolon);
-        _items->emplace_back(item);
+        _items->emplace_back(std::move(item));
     }
 
     std::vector<Connection>
@@ -747,13 +750,13 @@ class Parser
         switch (peek().kind) {
           case TokenKind::KwBegin: {
             advance();
-            auto *block = tag(new BlockStmt({}), loc);
+            auto block = tag(new BlockStmt({}), loc);
             if (accept(TokenKind::Colon))
                 block->label = expect(TokenKind::Identifier).text;
             while (!at(TokenKind::KwEnd))
                 block->stmts.push_back(parseStmt());
             expect(TokenKind::KwEnd);
-            return StmtPtr(block);
+            return block;
           }
           case TokenKind::KwIf: {
             advance();
@@ -914,11 +917,11 @@ class Parser
         }
         ExprPtr rhs = parseExpr();
         expect(TokenKind::Semicolon);
-        auto *stmt =
+        auto stmt =
             tag(new AssignStmt(std::move(lhs), std::move(rhs), blocking),
                 loc);
         stmt->has_delay = has_delay;
-        return StmtPtr(stmt);
+        return stmt;
     }
 
     /** Identifier with optional select, or a concatenation of those. */

@@ -1,9 +1,14 @@
 // Tests for the repair engine: query, minimality, windowing, driver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 
+#include "benchmarks/registry.hpp"
 #include "repair/driver.hpp"
+#include "repair/windowing.hpp"
+#include "templates/synth_vars.hpp"
+#include "util/rng.hpp"
 #include "verilog/ast_util.hpp"
 #include "verilog/parser.hpp"
 #include "verilog/printer.hpp"
@@ -289,4 +294,75 @@ endmodule
     RepairOutcome outcome =
         repair::repairDesign(buggy.top(), {}, counterTrace(), config);
     EXPECT_EQ(outcome.status, RepairOutcome::Status::Timeout);
+}
+
+// runBatch(a)[i] must equal run(a[i]) whichever interpreter runBatch
+// picks: the 64-lane packed one for several candidates on a narrow
+// design, the scalar one for a >64-bit datapath.  Batch sizes 1, 2 and
+// 65 cover the single-candidate path, one packed chunk, and a second
+// chunk past the 64-lane boundary.
+TEST(ConcreteRunner, BatchMatchesSingleRuns)
+{
+    struct Case
+    {
+        const char *design;
+        bool wide;  ///< some net wider than 64 bits
+    };
+    for (const Case &c : {Case{"counter_k1", false},
+                          Case{"sha3_w1", true}}) {
+        SCOPED_TRACE(c.design);
+        const benchmarks::LoadedBenchmark &lb =
+            benchmarks::load(c.design);
+        auto tmpl = std::move(templates::standardTemplates().front());
+        templates::TemplateResult inst =
+            tmpl->apply(*lb.buggy, lb.buggy_lib);
+        ASSERT_FALSE(inst.vars.empty());
+        elaborate::ElaborateOptions opts;
+        opts.library = lb.buggy_lib;
+        opts.synth_vars = inst.vars.specs();
+        ir::TransitionSystem sys =
+            elaborate::elaborate(*inst.instrumented, opts);
+        uint32_t widest = 0;
+        for (const auto &n : sys.nodes)
+            widest = std::max(widest, n.width);
+        EXPECT_EQ(widest > 64, c.wide) << "widest net " << widest;
+
+        trace::IoTrace resolved =
+            repair::resolveTraceInputs(lb.tb, sim::XPolicy::Zero, 1);
+        repair::ConcreteRunner runner(
+            sys, resolved,
+            repair::resolveInitState(sys, sim::XPolicy::Zero, 1));
+
+        // The unmodified circuit first, then random candidates that
+        // switch on about a quarter of the change sites each.
+        std::vector<templates::SynthAssignment> all{
+            templates::SynthAssignment::allOff(inst.vars)};
+        Rng rng(7);
+        while (all.size() < 65) {
+            templates::SynthAssignment a;
+            for (const auto &var : inst.vars.vars()) {
+                a.values[var.name] =
+                    var.is_phi
+                        ? bv::Value::fromUint(1, rng.chance(0.25))
+                        : bv::Value::random(var.width, rng);
+            }
+            all.push_back(std::move(a));
+        }
+
+        for (size_t n : {1u, 2u, 65u}) {
+            SCOPED_TRACE("batch " + std::to_string(n));
+            std::vector<templates::SynthAssignment> batch(
+                all.begin(), all.begin() + n);
+            std::vector<sim::ReplayResult> got = runner.runBatch(batch);
+            ASSERT_EQ(got.size(), n);
+            for (size_t i = 0; i < n; ++i) {
+                sim::ReplayResult want = runner.run(batch[i]);
+                EXPECT_EQ(got[i].passed, want.passed) << "candidate " << i;
+                EXPECT_EQ(got[i].first_failure, want.first_failure)
+                    << "candidate " << i;
+                EXPECT_EQ(got[i].failed_output, want.failed_output)
+                    << "candidate " << i;
+            }
+        }
+    }
 }

@@ -6,7 +6,7 @@
 //
 //  1. PackedValue ops against bv::Value, lane for lane, on random
 //     X-bearing operands across word-boundary widths;
-//  2. 64-lane vecEventRecordBatch / vecEventReplayBatch against 64
+//  2. 64-lane recordTraceBatch / replayTraceBatch against 64
 //     independent event-simulator runs over random generated modules;
 //  3. the full benchmark registry: the vec backend must reproduce the
 //     event simulator's golden trace digest for every design.
@@ -296,7 +296,7 @@ TEST(VecEventSim, GenModules64LanesMatchScalarRecord)
             ptrs.push_back(&s);
 
         std::vector<trace::IoTrace> vec =
-            sim::vecEventRecordBatch(mod, {}, gen.clock, ptrs);
+            sim::recordTraceBatch(mod, {}, gen.clock, ptrs);
         ASSERT_EQ(vec.size(), 64u);
         for (size_t l = 0; l < 64; ++l) {
             trace::IoTrace scalar =
@@ -333,7 +333,7 @@ TEST(VecEventSim, ReplayVerdictsMatchScalarPerLane)
     for (const auto &t : traces)
         ptrs.push_back(&t);
     std::vector<sim::ReplayResult> vec =
-        sim::vecEventReplayBatch(mod, {}, gen.clock, ptrs);
+        sim::replayTraceBatch(mod, {}, gen.clock, ptrs);
     ASSERT_EQ(vec.size(), 64u);
     for (size_t l = 0; l < 64; ++l) {
         sim::ReplayResult scalar =
@@ -532,7 +532,7 @@ endmodule
             ptrs.push_back(&s);
 
         std::vector<trace::IoTrace> vec =
-            sim::vecEventRecordBatch(mod, {}, c.clock, ptrs);
+            sim::recordTraceBatch(mod, {}, c.clock, ptrs);
         ASSERT_EQ(vec.size(), 64u);
         for (size_t l = 0; l < 64; ++l) {
             trace::IoTrace scalar =
@@ -546,34 +546,10 @@ endmodule
         for (const auto &t : vec)
             replay_ptrs.push_back(&t);
         std::vector<sim::ReplayResult> verdicts =
-            sim::vecEventReplayBatch(mod, {}, c.clock, replay_ptrs);
+            sim::replayTraceBatch(mod, {}, c.clock, replay_ptrs);
         for (size_t l = 0; l < 64; ++l) {
             EXPECT_TRUE(verdicts[l].passed)
                 << "lane " << l << ": " << verdicts[l].failed_output;
         }
     }
-}
-
-TEST(SimBackend, ParseResolveRoundTrip)
-{
-    using sim::SimBackend;
-    EXPECT_EQ(sim::parseSimBackend("auto"), SimBackend::Auto);
-    EXPECT_EQ(sim::parseSimBackend("event"), SimBackend::Event);
-    EXPECT_EQ(sim::parseSimBackend("vec"), SimBackend::Vec);
-    for (SimBackend b :
-         {SimBackend::Auto, SimBackend::Event, SimBackend::Vec})
-        EXPECT_EQ(sim::parseSimBackend(sim::simBackendName(b)), b);
-
-    // Explicit requests win over the environment.
-    ::setenv("RTLREPAIR_SIM", "event", 1);
-    EXPECT_EQ(sim::resolveSimBackend(SimBackend::Vec),
-              SimBackend::Vec);
-    EXPECT_EQ(sim::resolveSimBackend(SimBackend::Auto),
-              SimBackend::Event);
-    ::setenv("RTLREPAIR_SIM", "vec", 1);
-    EXPECT_EQ(sim::resolveSimBackend(SimBackend::Auto),
-              SimBackend::Vec);
-    ::unsetenv("RTLREPAIR_SIM");
-    EXPECT_EQ(sim::resolveSimBackend(SimBackend::Auto),
-              SimBackend::Auto);
 }

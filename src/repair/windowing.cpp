@@ -194,6 +194,7 @@ ConcreteRunner::run(const SynthAssignment &assignment)
 std::vector<sim::ReplayResult>
 ConcreteRunner::runBatch(const std::vector<SynthAssignment> &assignments)
 {
+    telemetry::Span span("sim.replay");
     std::vector<sim::ReplayResult> out(assignments.size());
     if (assignments.size() <= 1 || !_packable) {
         for (size_t i = 0; i < assignments.size(); ++i)
@@ -266,6 +267,7 @@ ConcreteRunner::currentStates()
 std::vector<Value>
 ConcreteRunner::statesAt(size_t cycle)
 {
+    telemetry::Span span("sim.prefix");
     if (cycle == 0)
         return _init;
     auto it = _snapshots.upper_bound(cycle);
@@ -373,7 +375,11 @@ runEngine(const ir::TransitionSystem &sys,
     ConcreteRunner runner(sys, resolved, init);
 
     // Baseline run: the unmodified circuit (all φ off).
-    sim::ReplayResult base = runner.run(SynthAssignment{});
+    sim::ReplayResult base;
+    {
+        telemetry::Span span("sim.replay");
+        base = runner.run(SynthAssignment{});
+    }
     if (base.passed) {
         result.status = EngineResult::Status::Repaired;
         result.assignment = SynthAssignment::allOff(vars);

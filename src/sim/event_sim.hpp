@@ -1,6 +1,7 @@
 /**
  * @file
- * Event-driven 4-state Verilog simulator over the AST.
+ * Event-driven 4-state Verilog simulator over the AST: one class
+ * template, for one stimulus or for up to 64 side by side.
  *
  * This simulator implements *simulation* semantics, in contrast to
  * the IR interpreter which implements *synthesis* semantics:
@@ -18,54 +19,98 @@
  * with true event semantics, the cross-simulator repair check of
  * Table 4, and the fitness function of the CirFix baseline all run on
  * it.
+ *
+ * EventSim<V> is instantiated twice.  With V = bv::Value
+ * (EventSimulator) it runs one stimulus; with V = bv::PackedValue
+ * (VecEventSimulator) it runs up to 64, one per lane of each packed
+ * word.  Both run the same scheduler under a *lane mask* (uint64_t,
+ * bit L = lane L; a Value has only lane 0): an `if` executes its
+ * then-branch under the lanes whose condition is true and its
+ * else-branch under the rest, an assignment blends the new value into
+ * the masked lanes only, and the delta-cycle loop keeps per-lane
+ * changed/NBA masks, so event scheduling, edge detection and the
+ * oscillation cutoff are decided per lane exactly as one-lane runs
+ * would decide them (enforced by tests/event_sim_test.cpp and
+ * tests/vec_sim_test.cpp).
  */
 #ifndef RTLREPAIR_SIM_EVENT_SIM_HPP
 #define RTLREPAIR_SIM_EVENT_SIM_HPP
 
+#include <concepts>
 #include <map>
+#include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "analysis/process_info.hpp"
 #include "analysis/widths.hpp"
+#include "bv/packed_value.hpp"
 #include "sim/interpreter.hpp"
 #include "verilog/ast.hpp"
 
 namespace rtlrepair::sim {
 
+/**
+ * A design has a net too wide for the packed simulator (a memory
+ * guard); callers fall back to the one-lane simulator.
+ */
+struct VecUnsupported : std::runtime_error
+{
+    explicit VecUnsupported(const std::string &what)
+        : std::runtime_error(what)
+    {
+    }
+};
+
 /** Interprets a (flattened) module with event-driven semantics. */
-class EventSimulator
+template <typename V>
+class EventSim
 {
   public:
     /**
      * @param mod the design (instances are flattened internally).
      * @param library submodule definitions.
      * @param clock name of the clock input toggled by step().
-     */
-    /**
+     * @param nlanes stimuli run side by side: 1 for bv::Value, at
+     *        most 64 for bv::PackedValue.
      * @param reverse_order evaluate triggered processes in reverse
      *        declaration order.  The Verilog standard leaves process
      *        scheduling unspecified; running both orders and
      *        comparing is our analogue of cross-checking a repair
      *        under a second simulator (iverilog in the paper) — it
      *        exposes repairs that rely on racy evaluation order.
+     * @throws VecUnsupported for a packed simulator over a net wider
+     *         than 2^16 bits.
      */
-    EventSimulator(const verilog::Module &mod,
-                   const std::vector<const verilog::Module *> &library,
-                   std::string clock, bool reverse_order = false);
+    EventSim(const verilog::Module &mod,
+             const std::vector<const verilog::Module *> &library,
+             std::string clock, uint32_t nlanes,
+             bool reverse_order = false);
+
+    /** One-lane simulator. */
+    EventSim(const verilog::Module &mod,
+             const std::vector<const verilog::Module *> &library,
+             std::string clock, bool reverse_order = false)
+        requires std::same_as<V, bv::Value>
+        : EventSim(mod, library, std::move(clock), 1, reverse_order)
+    {
+    }
 
     /** Reset all signals to X and re-run initial blocks. */
     void powerOn();
 
-    /** Drive an input for the current cycle. */
-    void setInput(const std::string &name, const bv::Value &value);
+    /** Drive an input for the current cycle in the lanes of @p mask. */
+    void setInput(const std::string &name, const V &value,
+                  uint64_t mask = ~0ull);
 
     /**
-     * One clock cycle: settle combinational logic with clk low, then
-     * raise the clock, run triggered processes, apply NBAs, settle.
-     * Outputs sampled *before* the edge are available via
-     * sampledOutput() — this matches the I/O-trace convention.
+     * One clock cycle for every live (unfrozen) lane: settle
+     * combinational logic with clk low, then raise the clock, run
+     * triggered processes, apply NBAs, settle.  Outputs sampled
+     * *before* the edge are available via sampledOutput() — this
+     * matches the I/O-trace convention.
      */
     void step();
 
@@ -73,15 +118,28 @@ class EventSimulator
     void settleOnly();
 
     /** Value of a signal right now. */
-    bv::Value get(const std::string &name) const;
+    const V &get(const std::string &name) const;
 
     /** Output value sampled before the most recent clock edge. */
-    bv::Value sampledOutput(const std::string &name) const;
+    const V &sampledOutput(const std::string &name) const;
 
-    bool hasSignal(const std::string &name) const;
+    /** Declared width of a signal (for input packing). */
+    uint32_t widthOf(const std::string &name) const;
 
-    /** Oscillation detected (comb loop in simulation semantics). */
-    bool unstable() const { return _unstable; }
+    /** Oscillation detected in any lane (comb loop in simulation
+     *  semantics). */
+    bool unstable() const { return _unstable != 0; }
+    /** Lanes whose delta cycle hit the oscillation cutoff (sticky). */
+    uint64_t unstableLanes() const { return _unstable; }
+
+    /**
+     * Stop simulating the lanes of @p mask (their trace is finished);
+     * writes and delta-cycle work skip them from now on.
+     */
+    void freezeLanes(uint64_t mask) { _frozen |= mask; }
+
+    /** Mask with one bit per configured lane. */
+    uint64_t allLanes() const { return _all; }
 
   private:
     struct Proc
@@ -90,42 +148,67 @@ class EventSimulator
         analysis::ProcessInfo info;
         verilog::StmtPtr body;  ///< for-loops unrolled
     };
+    struct Transition
+    {
+        uint64_t pose = 0, nege = 0, level = 0;
+    };
+    /** A queued non-blocking write: the full-signal value, valid in
+     *  @p lanes. */
+    struct Nba
+    {
+        V value;
+        uint64_t lanes = 0;
+    };
 
     void runInitialBlocks();
     void settle();
-    void runProcess(const Proc &proc);
-    void execStmt(const verilog::Stmt &stmt);
-    void assignNow(const verilog::Expr &lhs, bv::Value value);
-    void writeSignal(const std::string &name, const bv::Value &value);
-    bv::Value readLhsTarget(const verilog::Expr &lhs, uint32_t &pos,
-                            uint32_t &width, std::string &name);
-    bv::Value evalExpr(const verilog::Expr &expr, uint32_t ctx) const;
-    bv::Value evalBinary(const verilog::BinaryExpr &expr,
-                         uint32_t ctx) const;
-    bool caseMatches(const bv::Value &subject, const bv::Value &label,
-                     verilog::CaseStmt::Mode mode) const;
+    void runProcess(const Proc &proc, uint64_t mask);
+    void execStmt(const verilog::Stmt &stmt, uint64_t mask);
+    void assignNow(const verilog::Expr &lhs, const V &value,
+                   uint64_t mask);
+    void queueNba(const verilog::Expr &lhs, const V &rhs,
+                  uint64_t mask);
+    void writeSelect(const verilog::Expr &lhs, const std::string &name,
+                     V &full, const V &value, uint64_t mask) const;
+    void writeSignal(const std::string &name, const V &value,
+                     uint64_t mask);
+    /** Width of an assignment target (for RHS context sizing). */
+    uint32_t lhsWidth(const verilog::Expr &lhs) const;
+    /** Queued NBA value blended over the current value, per lane. */
+    V nbaTarget(const std::string &name) const;
+    V evalExpr(const verilog::Expr &expr, uint32_t ctx) const;
+    V evalBinary(const verilog::BinaryExpr &expr, uint32_t ctx) const;
 
     std::unique_ptr<verilog::Module> _mod;
     analysis::SymbolTable _table;
     std::string _clock;
+    uint64_t _all;  ///< mask of configured lanes
     std::vector<Proc> _procs;
     std::vector<const verilog::ContAssign *> _cont_assigns;
     std::vector<std::set<std::string>> _cont_reads;
 
-    std::map<std::string, bv::Value> _values;
-    std::map<std::string, bv::Value> _prev;  ///< for edge detection
-    std::set<std::string> _changed;
-    /** NBA queue: full-signal final values. */
-    std::map<std::string, bv::Value> _nba;
-    std::map<std::string, bv::Value> _sampled;
-    bool _unstable = false;
+    std::map<std::string, V> _values;
+    std::map<std::string, V> _prev;            ///< edge detection
+    std::map<std::string, uint64_t> _changed;  ///< per-lane masks
+    std::map<std::string, Nba> _nba;
+    std::map<std::string, V> _sampled;
+    uint64_t _unstable = 0;
+    uint64_t _frozen = 0;
 };
+
+extern template class EventSim<bv::Value>;
+extern template class EventSim<bv::PackedValue>;
+
+/** One stimulus at a time. */
+using EventSimulator = EventSim<bv::Value>;
+/** Up to 64 stimuli at once, one per lane. */
+using VecEventSimulator = EventSim<bv::PackedValue>;
 
 /**
  * Replay @p io against an event-driven simulation of @p mod; outputs
  * are checked each cycle before the clock edge.  @p clock may be
  * empty for purely combinational designs.  @p reverse_order runs the
- * simulator with reversed process order (EventSimulator).
+ * simulator with reversed process order (see EventSim).
  */
 ReplayResult eventReplay(const verilog::Module &mod,
                          const std::vector<const verilog::Module *>
@@ -140,6 +223,49 @@ trace::IoTrace eventRecord(const verilog::Module &mod,
                                &library,
                            const std::string &clock,
                            const trace::InputSequence &stim);
+
+/** Simulator for the single-trace replayTrace / recordTrace, for the
+ *  callers that must pin one (the lane-0 registry check, the
+ *  time-to-verdict benchmark). */
+enum class SimBackend
+{
+    Event,  ///< one-lane EventSimulator
+    Vec,    ///< the 64-lane VecEventSimulator running one lane
+};
+
+/** @name Batch entry points
+ * The batch forms pick the simulator from the input: one trace runs on
+ * EventSimulator, more than one on VecEventSimulator, chunked 64 lanes
+ * at a time.  A chunk falls back to per-trace one-lane simulation when
+ * the design throws VecUnsupported or its traces disagree on column
+ * structure.  Result i corresponds to trace i.  All of them run the
+ * same replay and record drivers as eventReplay / eventRecord.
+ * @{ */
+std::vector<ReplayResult> replayTraceBatch(
+    const verilog::Module &mod,
+    const std::vector<const verilog::Module *> &library,
+    const std::string &clock,
+    const std::vector<const trace::IoTrace *> &traces);
+
+std::vector<trace::IoTrace> recordTraceBatch(
+    const verilog::Module &mod,
+    const std::vector<const verilog::Module *> &library,
+    const std::string &clock,
+    const std::vector<const trace::InputSequence *> &stims);
+
+ReplayResult replayTrace(SimBackend backend, const verilog::Module &mod,
+                         const std::vector<const verilog::Module *>
+                             &library,
+                         const std::string &clock,
+                         const trace::IoTrace &io);
+
+trace::IoTrace recordTrace(SimBackend backend,
+                           const verilog::Module &mod,
+                           const std::vector<const verilog::Module *>
+                               &library,
+                           const std::string &clock,
+                           const trace::InputSequence &stim);
+/** @} */
 
 } // namespace rtlrepair::sim
 

@@ -5,6 +5,7 @@
 // identical for jobs=1 and jobs=4 on the same benchmark.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 
 #include "benchmarks/registry.hpp"
@@ -275,6 +276,45 @@ TEST_F(TelemetryTest, DeterministicCountersAcrossJobs)
     EXPECT_TRUE(saw_repair);
     EXPECT_TRUE(saw_solve);
     EXPECT_TRUE(saw_window);
+}
+
+/** Concrete simulation inside the engine is attributed: a traced
+ *  counter_k1 repair records candidate/baseline replay (sim.replay)
+ *  and prefix simulation (sim.prefix) spans nested under `repair`. */
+TEST_F(TelemetryTest, SimulationSpansNestUnderRepair)
+{
+    const benchmarks::LoadedBenchmark &lb =
+        benchmarks::load("counter_k1");
+    telemetry::setEnabled(true);
+    repair::RepairConfig config;
+    config.timeout_seconds = 60.0;
+    config.x_policy = lb.def->x_policy;
+    repair::RepairOutcome outcome =
+        repair::repairDesign(*lb.buggy, lb.buggy_lib, lb.tb, config);
+    EXPECT_EQ(outcome.status, repair::RepairOutcome::Status::Repaired);
+
+    std::vector<telemetry::SpanEvent> evs = telemetry::events();
+    std::map<uint64_t, const telemetry::SpanEvent *> by_id;
+    for (const auto &e : evs)
+        by_id[e.id] = &e;
+    auto under_repair = [&](const telemetry::SpanEvent &e) {
+        for (uint64_t p = e.parent; p != 0;) {
+            auto it = by_id.find(p);
+            if (it == by_id.end())
+                return false;
+            if (it->second->name == "repair")
+                return true;
+            p = it->second->parent;
+        }
+        return false;
+    };
+    bool saw_replay = false, saw_prefix = false;
+    for (const auto &e : evs) {
+        saw_replay |= e.name == "sim.replay" && under_repair(e);
+        saw_prefix |= e.name == "sim.prefix" && under_repair(e);
+    }
+    EXPECT_TRUE(saw_replay);
+    EXPECT_TRUE(saw_prefix);
 }
 
 } // namespace

@@ -1,24 +1,552 @@
 #include "bv/packed_value.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "util/logging.hpp"
 
 namespace rtlrepair::bv {
 
+// ---------------------------------------------------------------------
+// PackedOps kernels: value plane then unknown plane, one word per bit
+// position each; bit L of a word belongs to lane L.
+// ---------------------------------------------------------------------
+
+size_t
+PackedOps::spanWords(uint32_t width)
+{
+    return 2 * size_t(width);
+}
+
+uint64_t
+PackedOps::anyX(const uint64_t *a, uint32_t w)
+{
+    uint64_t m = 0;
+    for (uint32_t p = 0; p < w; ++p)
+        m |= a[w + p];
+    return m;
+}
+
+uint64_t
+PackedOps::anyOne(const uint64_t *a, uint32_t w)
+{
+    uint64_t m = 0;
+    for (uint32_t p = 0; p < w; ++p)
+        m |= a[p];
+    return m;
+}
+
+void
+PackedOps::bitNot(uint64_t *r, const uint64_t *a, uint32_t w)
+{
+    for (uint32_t p = 0; p < w; ++p) {
+        r[p] = ~a[p] & ~a[w + p];
+        r[w + p] = a[w + p];
+    }
+}
+
+void
+PackedOps::neg(uint64_t *r, const uint64_t *a, uint32_t w)
+{
+    uint64_t xl = anyX(a, w);
+    uint64_t carry = ~0ull;  // ~a + 1
+    for (uint32_t p = 0; p < w; ++p) {
+        uint64_t v = ~a[p];
+        r[p] = (v ^ carry) & ~xl;
+        r[w + p] = xl;
+        carry = v & carry;
+    }
+}
+
+void
+PackedOps::redAnd(uint64_t *r, const uint64_t *a, uint32_t wa)
+{
+    uint64_t known0 = 0;
+    for (uint32_t p = 0; p < wa; ++p)
+        known0 |= ~a[p] & ~a[wa + p];
+    uint64_t xl = anyX(a, wa);
+    r[0] = ~known0 & ~xl;
+    r[1] = xl & ~known0;
+}
+
+void
+PackedOps::redOr(uint64_t *r, const uint64_t *a, uint32_t wa)
+{
+    uint64_t one = anyOne(a, wa);
+    r[0] = one;
+    r[1] = anyX(a, wa) & ~one;
+}
+
+void
+PackedOps::redXor(uint64_t *r, const uint64_t *a, uint32_t wa)
+{
+    uint64_t xl = anyX(a, wa);
+    uint64_t parity = 0;
+    for (uint32_t p = 0; p < wa; ++p)
+        parity ^= a[p];
+    r[0] = parity & ~xl;
+    r[1] = xl;
+}
+
+void
+PackedOps::bitAnd(uint64_t *r, const uint64_t *a, const uint64_t *b,
+                  uint32_t w)
+{
+    for (uint32_t p = 0; p < w; ++p) {
+        // Known zero on either side dominates any X on the other.
+        uint64_t one = a[p] & b[p];
+        uint64_t zero = (~a[p] & ~a[w + p]) | (~b[p] & ~b[w + p]);
+        r[p] = one;
+        r[w + p] = ~(one | zero);
+    }
+}
+
+void
+PackedOps::bitOr(uint64_t *r, const uint64_t *a, const uint64_t *b,
+                 uint32_t w)
+{
+    for (uint32_t p = 0; p < w; ++p) {
+        uint64_t one = a[p] | b[p];
+        uint64_t zero = (~a[p] & ~a[w + p]) & (~b[p] & ~b[w + p]);
+        r[p] = one;
+        r[w + p] = ~(one | zero);
+    }
+}
+
+void
+PackedOps::bitXor(uint64_t *r, const uint64_t *a, const uint64_t *b,
+                  uint32_t w)
+{
+    for (uint32_t p = 0; p < w; ++p) {
+        uint64_t x = a[w + p] | b[w + p];
+        r[w + p] = x;
+        r[p] = (a[p] ^ b[p]) & ~x;
+    }
+}
+
+void
+PackedOps::add(uint64_t *r, const uint64_t *a, const uint64_t *b,
+               uint32_t w)
+{
+    uint64_t xl = anyX(a, w) | anyX(b, w);
+    uint64_t carry = 0;
+    for (uint32_t p = 0; p < w; ++p) {
+        uint64_t x = a[p], y = b[p];
+        r[p] = (x ^ y ^ carry) & ~xl;
+        r[w + p] = xl;
+        carry = (x & y) | (carry & (x ^ y));
+    }
+}
+
+void
+PackedOps::sub(uint64_t *r, const uint64_t *a, const uint64_t *b,
+               uint32_t w)
+{
+    uint64_t xl = anyX(a, w) | anyX(b, w);
+    uint64_t carry = ~0ull;  // a + ~b + 1
+    for (uint32_t p = 0; p < w; ++p) {
+        uint64_t x = a[p], y = ~b[p];
+        r[p] = (x ^ y ^ carry) & ~xl;
+        r[w + p] = xl;
+        carry = (x & y) | (carry & (x ^ y));
+    }
+}
+
+void
+PackedOps::getLane(uint64_t *out, const uint64_t *a, uint32_t w,
+                   uint32_t l)
+{
+    size_t n = nwords(w);
+    std::fill(out, out + 2 * n, 0ull);
+    for (uint32_t p = 0; p < w; ++p) {
+        uint64_t pm = 1ull << (p & 63u);
+        if ((a[w + p] >> l) & 1u)
+            out[n + (p >> 6)] |= pm;
+        else if ((a[p] >> l) & 1u)
+            out[p >> 6] |= pm;
+    }
+}
+
+void
+PackedOps::setLane(uint64_t *r, uint32_t w, uint32_t l, const uint64_t *v)
+{
+    size_t n = nwords(w);
+    uint64_t m = 1ull << l;
+    for (uint32_t p = 0; p < w; ++p) {
+        uint64_t pm = 1ull << (p & 63u);
+        r[p] = (v[p >> 6] & pm) ? (r[p] | m) : (r[p] & ~m);
+        r[w + p] = (v[n + (p >> 6)] & pm) ? (r[w + p] | m)
+                                          : (r[w + p] & ~m);
+    }
+}
+
+namespace {
+
+using ScalarBinary = void (*)(uint64_t *, const uint64_t *,
+                              const uint64_t *, uint32_t);
+
+/**
+ * Mul/udiv/urem: the ScalarOps kernel run lane by lane on stack
+ * buffers (heap only past 256-bit operands).  Lanes outside
+ * @p ok_lanes are all-X.
+ */
+void
+perLane(uint64_t *r, const uint64_t *a, const uint64_t *b, uint32_t w,
+        uint64_t ok_lanes, ScalarBinary op)
+{
+    size_t span = 2 * nwords(w);
+    uint64_t small[24] = {};
+    std::vector<uint64_t> big;
+    uint64_t *buf = small;
+    if (3 * span > std::size(small)) {
+        big.resize(3 * span);
+        buf = big.data();
+    }
+    uint64_t *la = buf, *lb = buf + span, *lr = buf + 2 * span;
+    std::fill(r, r + w, 0ull);
+    std::fill(r + w, r + 2 * size_t(w), ~0ull);
+    for (uint32_t l = 0; l < PackedValue::kLanes; ++l) {
+        if (!((ok_lanes >> l) & 1u))
+            continue;
+        PackedOps::getLane(la, a, w, l);
+        PackedOps::getLane(lb, b, w, l);
+        op(lr, la, lb, w);
+        PackedOps::setLane(r, w, l, lr);
+    }
+}
+
+/** Lanes where the packed @p b is fully known and zero. */
+uint64_t
+laneZero(const uint64_t *b, uint32_t w)
+{
+    return ~PackedOps::anyOne(b, w) & ~PackedOps::anyX(b, w);
+}
+
+} // namespace
+
+void
+PackedOps::mul(uint64_t *r, const uint64_t *a, const uint64_t *b,
+               uint32_t w)
+{
+    perLane(r, a, b, w, ~(anyX(a, w) | anyX(b, w)), &ScalarOps::mul);
+}
+
+void
+PackedOps::udiv(uint64_t *r, const uint64_t *a, const uint64_t *b,
+                uint32_t w)
+{
+    perLane(r, a, b, w, ~(anyX(a, w) | anyX(b, w)) & ~laneZero(b, w),
+            &ScalarOps::udiv);
+}
+
+void
+PackedOps::urem(uint64_t *r, const uint64_t *a, const uint64_t *b,
+                uint32_t w)
+{
+    perLane(r, a, b, w, ~(anyX(a, w) | anyX(b, w)) & ~laneZero(b, w),
+            &ScalarOps::urem);
+}
+
+namespace {
+
+/**
+ * Per-lane saturation mask for a shift: lanes whose known amount bits
+ * select a shift >= width.  Amount bit positions >= 64 saturate,
+ * mirroring the scalar kernel, which saturates when any amount word
+ * past the first is non-zero.
+ */
+uint64_t
+shiftSaturation(const uint64_t *s, uint32_t ws, uint32_t w)
+{
+    uint64_t sat = 0;
+    for (uint32_t p = 0; p < ws; ++p) {
+        bool overflows = p >= 64 || (1ull << std::min<uint32_t>(p, 63)) >=
+                                        static_cast<uint64_t>(w);
+        if (overflows)
+            sat |= s[p];
+    }
+    return sat;
+}
+
+} // namespace
+
+void
+PackedOps::shl(uint64_t *r, const uint64_t *a, uint32_t w,
+               const uint64_t *s, uint32_t ws)
+{
+    uint64_t xl = anyX(a, w) | anyX(s, ws);
+    uint64_t sat = shiftSaturation(s, ws, w);
+    std::copy(a, a + w, r);
+    for (uint32_t p = 0; p < ws && p < 64; ++p) {
+        uint64_t step = 1ull << p;
+        if (step >= w)
+            break;
+        uint64_t m = s[p];
+        if (!m)
+            continue;
+        for (uint32_t pos = w; pos-- > 0;) {
+            uint64_t in = pos >= step ? r[pos - step] : 0;
+            r[pos] = (r[pos] & ~m) | (in & m);
+        }
+    }
+    uint64_t keep = ~xl & ~sat;
+    for (uint32_t p = 0; p < w; ++p) {
+        r[p] &= keep;
+        r[w + p] = xl;
+    }
+}
+
+void
+PackedOps::lshr(uint64_t *r, const uint64_t *a, uint32_t w,
+                const uint64_t *s, uint32_t ws)
+{
+    uint64_t xl = anyX(a, w) | anyX(s, ws);
+    uint64_t sat = shiftSaturation(s, ws, w);
+    std::copy(a, a + w, r);
+    for (uint32_t p = 0; p < ws && p < 64; ++p) {
+        uint64_t step = 1ull << p;
+        if (step >= w)
+            break;
+        uint64_t m = s[p];
+        if (!m)
+            continue;
+        for (uint32_t pos = 0; pos < w; ++pos) {
+            uint64_t in = pos + step < w ? r[pos + step] : 0;
+            r[pos] = (r[pos] & ~m) | (in & m);
+        }
+    }
+    uint64_t keep = ~xl & ~sat;
+    for (uint32_t p = 0; p < w; ++p) {
+        r[p] &= keep;
+        r[w + p] = xl;
+    }
+}
+
+void
+PackedOps::ashr(uint64_t *r, const uint64_t *a, uint32_t w,
+                const uint64_t *s, uint32_t ws)
+{
+    uint64_t xl = anyX(a, w) | anyX(s, ws);
+    uint64_t sat = shiftSaturation(s, ws, w);
+    uint64_t sign = a[w - 1];
+    std::copy(a, a + w, r);
+    for (uint32_t p = 0; p < ws && p < 64; ++p) {
+        uint64_t step = 1ull << p;
+        if (step >= w)
+            break;
+        uint64_t m = s[p];
+        if (!m)
+            continue;
+        for (uint32_t pos = 0; pos < w; ++pos) {
+            uint64_t in = pos + step < w ? r[pos + step] : sign;
+            r[pos] = (r[pos] & ~m) | (in & m);
+        }
+    }
+    for (uint32_t p = 0; p < w; ++p) {
+        r[p] = ((r[p] & ~sat) | (sign & sat)) & ~xl;
+        r[w + p] = xl;
+    }
+}
+
+namespace {
+
+/** Lanes where the value planes differ (operands X-free there). */
+uint64_t
+valueDiff(const uint64_t *a, const uint64_t *b, uint32_t w)
+{
+    uint64_t ne = 0;
+    for (uint32_t p = 0; p < w; ++p)
+        ne |= a[p] ^ b[p];
+    return ne;
+}
+
+/** Unsigned a < b per lane, on the value planes. */
+uint64_t
+lessThan(const uint64_t *a, const uint64_t *b, uint32_t w)
+{
+    uint64_t lt = 0;
+    for (uint32_t p = 0; p < w; ++p)
+        lt = (~a[p] & b[p]) | (~(a[p] ^ b[p]) & lt);
+    return lt;
+}
+
+/** Signed a < b per lane: different signs, the negative is smaller. */
+uint64_t
+lessThanSigned(const uint64_t *a, const uint64_t *b, uint32_t w)
+{
+    uint64_t sa = a[w - 1], sb = b[w - 1];
+    return (sa & ~sb) | (~(sa ^ sb) & lessThan(a, b, w));
+}
+
+/** A 1-bit result: @p truth in the known lanes, X in @p xl. */
+void
+setCompare(uint64_t *r, uint64_t truth, uint64_t xl)
+{
+    r[0] = truth & ~xl;
+    r[1] = xl;
+}
+
+} // namespace
+
+void
+PackedOps::eq(uint64_t *r, const uint64_t *a, const uint64_t *b,
+              uint32_t w)
+{
+    setCompare(r, ~valueDiff(a, b, w), anyX(a, w) | anyX(b, w));
+}
+
+void
+PackedOps::ult(uint64_t *r, const uint64_t *a, const uint64_t *b,
+               uint32_t w)
+{
+    setCompare(r, lessThan(a, b, w), anyX(a, w) | anyX(b, w));
+}
+
+void
+PackedOps::ule(uint64_t *r, const uint64_t *a, const uint64_t *b,
+               uint32_t w)
+{
+    setCompare(r, lessThan(a, b, w) | ~valueDiff(a, b, w),
+               anyX(a, w) | anyX(b, w));
+}
+
+void
+PackedOps::slt(uint64_t *r, const uint64_t *a, const uint64_t *b,
+               uint32_t w)
+{
+    setCompare(r, lessThanSigned(a, b, w), anyX(a, w) | anyX(b, w));
+}
+
+void
+PackedOps::sle(uint64_t *r, const uint64_t *a, const uint64_t *b,
+               uint32_t w)
+{
+    setCompare(r, lessThanSigned(a, b, w) | ~valueDiff(a, b, w),
+               anyX(a, w) | anyX(b, w));
+}
+
+void
+PackedOps::caseEq(uint64_t *r, const uint64_t *a, const uint64_t *b,
+                  uint32_t w)
+{
+    uint64_t diff = 0;
+    for (uint32_t p = 0; p < 2 * w; ++p)
+        diff |= a[p] ^ b[p];
+    r[0] = ~diff;
+    r[1] = 0;
+}
+
+void
+PackedOps::concat(uint64_t *r, const uint64_t *hi, uint32_t whi,
+                  const uint64_t *lo, uint32_t wlo)
+{
+    uint32_t w = whi + wlo;
+    for (uint32_t plane = 0; plane < 2; ++plane) {
+        std::copy(lo + plane * wlo, lo + (plane + 1) * wlo, r + plane * w);
+        std::copy(hi + plane * whi, hi + (plane + 1) * whi,
+                  r + plane * w + wlo);
+    }
+}
+
+void
+PackedOps::slice(uint64_t *r, const uint64_t *a, uint32_t wa,
+                 uint32_t msb, uint32_t lsb)
+{
+    uint32_t w = msb - lsb + 1;
+    std::copy(a + lsb, a + lsb + w, r);
+    std::copy(a + wa + lsb, a + wa + lsb + w, r + w);
+}
+
+void
+PackedOps::ite(uint64_t *r, const uint64_t *c, const uint64_t *t,
+               const uint64_t *e, uint32_t w)
+{
+    uint64_t c1 = c[0];
+    uint64_t cx = c[1];
+    uint64_t c0 = ~c1 & ~cx;
+    for (uint32_t p = 0; p < w; ++p) {
+        uint64_t agree = ~t[w + p] & ~e[w + p] & ~(t[p] ^ e[p]);
+        r[p] = (c1 & t[p]) | (c0 & e[p]) | (cx & t[p] & agree);
+        r[w + p] = (c1 & t[w + p]) | (c0 & e[w + p]) | (cx & ~agree);
+    }
+}
+
+void
+PackedOps::zext(uint64_t *r, const uint64_t *a, uint32_t wa, uint32_t w)
+{
+    for (uint32_t plane = 0; plane < 2; ++plane) {
+        std::copy(a + plane * wa, a + (plane + 1) * wa, r + plane * w);
+        std::fill(r + plane * w + wa, r + (plane + 1) * w, 0ull);
+    }
+}
+
+void
+PackedOps::sext(uint64_t *r, const uint64_t *a, uint32_t wa, uint32_t w)
+{
+    for (uint32_t plane = 0; plane < 2; ++plane) {
+        std::copy(a + plane * wa, a + (plane + 1) * wa, r + plane * w);
+        std::fill(r + plane * w + wa, r + (plane + 1) * w,
+                  a[plane * wa + wa - 1]);
+    }
+}
+
+uint64_t
+PackedOps::laneMatches(const uint64_t *got, uint32_t wg,
+                       const uint64_t *exp, uint32_t we)
+{
+    // Mismatched widths compare zero-extended, as Value::matches.
+    uint64_t bad = 0;
+    for (uint32_t p = 0; p < std::max(wg, we); ++p) {
+        uint64_t gd = p < wg ? got[p] : 0, gx = p < wg ? got[wg + p] : 0;
+        uint64_t ed = p < we ? exp[p] : 0, ex = p < we ? exp[we + p] : 0;
+        bad |= ~ex & (gx | (gd ^ ed));
+    }
+    return ~bad;
+}
+
+uint64_t
+PackedOps::laneMatchesScalar(const uint64_t *got, uint32_t wg,
+                             const uint64_t *exp, uint32_t we)
+{
+    size_t ne = nwords(we);
+    uint64_t bad = 0;
+    for (uint32_t p = 0; p < std::max(wg, we); ++p) {
+        uint64_t pm = 1ull << (p & 63u);
+        bool ex = p < we && (exp[ne + (p >> 6)] & pm);
+        if (ex)
+            continue;  // X in the trace: don't care
+        uint64_t ed = p < we && (exp[p >> 6] & pm) ? ~0ull : 0;
+        uint64_t gd = p < wg ? got[p] : 0, gx = p < wg ? got[wg + p] : 0;
+        bad |= gx | (gd ^ ed);
+    }
+    return ~bad;
+}
+
+void
+PackedOps::broadcast(uint64_t *r, uint32_t w, const uint64_t *a,
+                     uint32_t wa)
+{
+    size_t na = nwords(wa);
+    for (uint32_t p = 0; p < w; ++p) {
+        uint64_t pm = 1ull << (p & 63u);
+        bool x = p < wa && (a[na + (p >> 6)] & pm);
+        bool one = p < wa && (a[p >> 6] & pm);
+        r[p] = one ? ~0ull : 0;
+        r[w + p] = x ? ~0ull : 0;
+    }
+}
+
+// ---------------------------------------------------------------------
+// PackedValue: allocating wrappers over the PackedOps kernels.
+// ---------------------------------------------------------------------
+
 PackedValue::PackedValue(uint32_t width)
-    : _width(width), _val(width, 0), _unk(width, 0)
+    : _width(width)
 {
     check(width > 0, "zero-width PackedValue");
     if (width > (1u << 22))
         fatal("bit-vector width too large");
-}
-
-void
-PackedValue::normalize()
-{
-    for (uint32_t p = 0; p < _width; ++p)
-        _val[p] &= ~_unk[p];
+    _w.assign(2 * size_t(width), 0);
 }
 
 PackedValue
@@ -31,8 +559,7 @@ PackedValue
 PackedValue::allX(uint32_t width)
 {
     PackedValue r(width);
-    for (auto &w : r._unk)
-        w = ~0ull;
+    std::fill(r.unk(), r.unk() + width, ~0ull);
     return r;
 }
 
@@ -40,14 +567,15 @@ PackedValue
 PackedValue::broadcast(const Value &v)
 {
     PackedValue r(v.width());
-    for (uint32_t p = 0; p < r._width; ++p) {
-        uint64_t wd = v.bitsWord(p >> 6), xm = v.xmaskWord(p >> 6);
-        uint64_t m = 1ull << (p & 63u);
-        if (xm & m)
-            r._unk[p] = ~0ull;
-        else if (wd & m)
-            r._val[p] = ~0ull;
-    }
+    PackedOps::broadcast(r.val(), r._width, v.span(), v.width());
+    return r;
+}
+
+PackedValue
+PackedValue::fromSpan(uint32_t width, const uint64_t *span)
+{
+    PackedValue r(width);
+    std::copy(span, span + r._w.size(), r._w.begin());
     return r;
 }
 
@@ -65,6 +593,7 @@ PackedValue::pack(const Value *const *vals, size_t n, uint32_t width)
 {
     check(n <= kLanes, "pack: too many lanes");
     PackedValue r = allX(width);
+    uint64_t *rv = r.val(), *ru = r.unk();
     for (size_t l = 0; l < n; ++l) {
         if (!vals[l])
             continue;
@@ -81,15 +610,13 @@ PackedValue::pack(const Value *const *vals, size_t n, uint32_t width)
             uint32_t hi = std::min(low, (p & ~63u) + 64u);
             for (; p < hi; ++p) {
                 uint64_t pm = 1ull << (p & 63u);
-                r._val[p] = (bits & pm) ? (r._val[p] | m)
-                                        : (r._val[p] & ~m);
-                r._unk[p] = (xm & pm) ? (r._unk[p] | m)
-                                      : (r._unk[p] & ~m);
+                rv[p] = (bits & pm) ? (rv[p] | m) : (rv[p] & ~m);
+                ru[p] = (xm & pm) ? (ru[p] | m) : (ru[p] & ~m);
             }
         }
         for (uint32_t p = low; p < width; ++p) {
-            r._val[p] &= ~m;
-            r._unk[p] &= ~m;
+            rv[p] &= ~m;
+            ru[p] &= ~m;
         }
     }
     return r;
@@ -99,17 +626,9 @@ Value
 PackedValue::lane(uint32_t l) const
 {
     check(l < kLanes, "lane index out of range");
-    std::vector<uint64_t> bits((_width + 63u) / 64u, 0);
-    std::vector<uint64_t> xmask(bits.size(), 0);
-    for (uint32_t p = 0; p < _width; ++p) {
-        uint64_t pm = 1ull << (p & 63u);
-        if ((_unk[p] >> l) & 1)
-            xmask[p >> 6] |= pm;
-        else if ((_val[p] >> l) & 1)
-            bits[p >> 6] |= pm;
-    }
-    return Value::fromPlanes(_width, std::move(bits),
-                             std::move(xmask));
+    std::vector<uint64_t> span(2 * nwords(_width));
+    PackedOps::getLane(span.data(), _w.data(), _width, l);
+    return Value::fromSpan(_width, span.data());
 }
 
 void
@@ -117,12 +636,7 @@ PackedValue::setLane(uint32_t l, const Value &v)
 {
     check(l < kLanes, "lane index out of range");
     check(v.width() == _width, "setLane: width mismatch");
-    uint64_t m = 1ull << l;
-    for (uint32_t p = 0; p < _width; ++p) {
-        int b = v.bit(p);
-        _val[p] = (b == 1) ? (_val[p] | m) : (_val[p] & ~m);
-        _unk[p] = (b < 0) ? (_unk[p] | m) : (_unk[p] & ~m);
-    }
+    PackedOps::setLane(_w.data(), _width, l, v.span());
 }
 
 void
@@ -130,27 +644,22 @@ PackedValue::setBitLanes(uint32_t pos, uint64_t val, uint64_t unk,
                          uint64_t mask)
 {
     check(pos < _width, "setBitLanes: position out of range");
-    _val[pos] = (_val[pos] & ~mask) | (val & mask);
-    _unk[pos] = (_unk[pos] & ~mask) | (unk & mask);
-    _val[pos] &= ~_unk[pos];
+    uint64_t &v = _w[pos], &u = _w[_width + pos];
+    v = (v & ~mask) | (val & mask);
+    u = (u & ~mask) | (unk & mask);
+    v &= ~u;
 }
 
 uint64_t
 PackedValue::anyX() const
 {
-    uint64_t m = 0;
-    for (uint32_t p = 0; p < _width; ++p)
-        m |= _unk[p];
-    return m;
+    return PackedOps::anyX(_w.data(), _width);
 }
 
 uint64_t
 PackedValue::anyOne() const
 {
-    uint64_t m = 0;
-    for (uint32_t p = 0; p < _width; ++p)
-        m |= _val[p];
-    return m;
+    return PackedOps::anyOne(_w.data(), _width);
 }
 
 uint64_t
@@ -159,24 +668,16 @@ PackedValue::laneEq(const PackedValue &rhs) const
     if (_width != rhs._width)
         return 0;
     uint64_t diff = 0;
-    for (uint32_t p = 0; p < _width; ++p)
-        diff |= (_val[p] ^ rhs._val[p]) | (_unk[p] ^ rhs._unk[p]);
+    for (size_t i = 0; i < _w.size(); ++i)
+        diff |= _w[i] ^ rhs._w[i];
     return ~diff;
 }
 
 uint64_t
 PackedValue::laneMatches(const PackedValue &expected) const
 {
-    if (_width != expected._width) {
-        uint32_t w = std::max(_width, expected._width);
-        return zext(w).laneMatches(expected.zext(w));
-    }
-    uint64_t bad = 0;
-    for (uint32_t p = 0; p < _width; ++p) {
-        uint64_t care = ~expected._unk[p];
-        bad |= care & (_unk[p] | (_val[p] ^ expected._val[p]));
-    }
-    return ~bad;
+    return PackedOps::laneMatches(_w.data(), _width, expected._w.data(),
+                                  expected._width);
 }
 
 uint64_t
@@ -187,7 +688,7 @@ PackedValue::laneEqUint(uint64_t target) const
         return 0;
     uint64_t m = ~anyX();
     for (uint32_t p = 0; p < n; ++p)
-        m &= ((target >> p) & 1) ? _val[p] : ~_val[p];
+        m &= ((target >> p) & 1) ? _w[p] : ~_w[p];
     return m;
 }
 
@@ -197,10 +698,8 @@ PackedValue::blend(const PackedValue &a, const PackedValue &b,
 {
     check(a._width == b._width, "blend: width mismatch");
     PackedValue r(a._width);
-    for (uint32_t p = 0; p < r._width; ++p) {
-        r._val[p] = (a._val[p] & mask) | (b._val[p] & ~mask);
-        r._unk[p] = (a._unk[p] & mask) | (b._unk[p] & ~mask);
-    }
+    for (size_t i = 0; i < r._w.size(); ++i)
+        r._w[i] = (a._w[i] & mask) | (b._w[i] & ~mask);
     return r;
 }
 
@@ -209,8 +708,7 @@ PackedValue::zext(uint32_t new_width) const
 {
     check(new_width >= _width, "zext must not shrink");
     PackedValue r(new_width);
-    std::copy(_val.begin(), _val.end(), r._val.begin());
-    std::copy(_unk.begin(), _unk.end(), r._unk.begin());
+    PackedOps::zext(r.val(), span(), _width, new_width);
     return r;
 }
 
@@ -218,11 +716,8 @@ PackedValue
 PackedValue::sext(uint32_t new_width) const
 {
     check(new_width >= _width, "sext must not shrink");
-    PackedValue r = zext(new_width);
-    for (uint32_t p = _width; p < new_width; ++p) {
-        r._val[p] = _val[_width - 1];
-        r._unk[p] = _unk[_width - 1];
-    }
+    PackedValue r(new_width);
+    PackedOps::sext(r.val(), span(), _width, new_width);
     return r;
 }
 
@@ -231,10 +726,7 @@ PackedValue::slice(uint32_t hi, uint32_t lo) const
 {
     check(hi < _width && lo <= hi, "slice out of range");
     PackedValue r(hi - lo + 1);
-    for (uint32_t p = 0; p < r._width; ++p) {
-        r._val[p] = _val[lo + p];
-        r._unk[p] = _unk[lo + p];
-    }
+    PackedOps::slice(r.val(), span(), _width, hi, lo);
     return r;
 }
 
@@ -242,10 +734,7 @@ PackedValue
 PackedValue::concat(const PackedValue &low) const
 {
     PackedValue r(_width + low._width);
-    std::copy(low._val.begin(), low._val.end(), r._val.begin());
-    std::copy(low._unk.begin(), low._unk.end(), r._unk.begin());
-    std::copy(_val.begin(), _val.end(), r._val.begin() + low._width);
-    std::copy(_unk.begin(), _unk.end(), r._unk.begin() + low._width);
+    PackedOps::concat(r.val(), span(), _width, low.span(), low._width);
     return r;
 }
 
@@ -253,97 +742,53 @@ PackedValue
 PackedValue::replicate(uint32_t n) const
 {
     check(n > 0, "replicate zero times");
-    PackedValue r(_width * n);
+    // The product is checked before it can wrap into a small width
+    // the copies below would overrun.
+    uint64_t width = uint64_t(_width) * n;
+    if (width > (1u << 22))
+        fatal("bit-vector width too large");
+    PackedValue r(static_cast<uint32_t>(width));
     for (uint32_t i = 0; i < n; ++i) {
-        std::copy(_val.begin(), _val.end(),
-                  r._val.begin() + size_t(i) * _width);
-        std::copy(_unk.begin(), _unk.end(),
-                  r._unk.begin() + size_t(i) * _width);
+        for (uint32_t plane = 0; plane < 2; ++plane) {
+            std::copy(_w.begin() + plane * _width,
+                      _w.begin() + (plane + 1) * _width,
+                      r._w.begin() + plane * r._width + size_t(i) * _width);
+        }
     }
     return r;
 }
+
+#define RTLREPAIR_PACKED_BINARY(signature, kernel, out_width, what)     \
+    PackedValue PackedValue::signature(const PackedValue &rhs) const   \
+    {                                                                  \
+        check(_width == rhs._width, what ": width mismatch");          \
+        PackedValue r(out_width);                                      \
+        PackedOps::kernel(r.val(), span(), rhs.span(), _width);        \
+        return r;                                                      \
+    }
+
+RTLREPAIR_PACKED_BINARY(operator&, bitAnd, _width, "and")
+RTLREPAIR_PACKED_BINARY(operator|, bitOr, _width, "or")
+RTLREPAIR_PACKED_BINARY(operator^, bitXor, _width, "xor")
+RTLREPAIR_PACKED_BINARY(operator+, add, _width, "add")
+RTLREPAIR_PACKED_BINARY(operator-, sub, _width, "sub")
+RTLREPAIR_PACKED_BINARY(operator*, mul, _width, "mul")
+RTLREPAIR_PACKED_BINARY(udiv, udiv, _width, "udiv")
+RTLREPAIR_PACKED_BINARY(urem, urem, _width, "urem")
+RTLREPAIR_PACKED_BINARY(eq, eq, 1, "eq")
+RTLREPAIR_PACKED_BINARY(ult, ult, 1, "ult")
+RTLREPAIR_PACKED_BINARY(ule, ule, 1, "ule")
+RTLREPAIR_PACKED_BINARY(slt, slt, 1, "slt")
+RTLREPAIR_PACKED_BINARY(sle, sle, 1, "sle")
+RTLREPAIR_PACKED_BINARY(caseEq, caseEq, 1, "caseEq")
+
+#undef RTLREPAIR_PACKED_BINARY
 
 PackedValue
 PackedValue::operator~() const
 {
     PackedValue r(_width);
-    for (uint32_t p = 0; p < _width; ++p) {
-        r._val[p] = ~_val[p] & ~_unk[p];
-        r._unk[p] = _unk[p];
-    }
-    return r;
-}
-
-PackedValue
-PackedValue::operator&(const PackedValue &rhs) const
-{
-    check(_width == rhs._width, "and: width mismatch");
-    PackedValue r(_width);
-    for (uint32_t p = 0; p < _width; ++p) {
-        // Known zero on either side dominates any X on the other.
-        uint64_t one = _val[p] & rhs._val[p];
-        uint64_t zero = (~_val[p] & ~_unk[p]) | (~rhs._val[p] & ~rhs._unk[p]);
-        r._val[p] = one;
-        r._unk[p] = ~(one | zero);
-    }
-    return r;
-}
-
-PackedValue
-PackedValue::operator|(const PackedValue &rhs) const
-{
-    check(_width == rhs._width, "or: width mismatch");
-    PackedValue r(_width);
-    for (uint32_t p = 0; p < _width; ++p) {
-        uint64_t one = _val[p] | rhs._val[p];
-        uint64_t zero = (~_val[p] & ~_unk[p]) & (~rhs._val[p] & ~rhs._unk[p]);
-        r._val[p] = one;
-        r._unk[p] = ~(one | zero);
-    }
-    return r;
-}
-
-PackedValue
-PackedValue::operator^(const PackedValue &rhs) const
-{
-    check(_width == rhs._width, "xor: width mismatch");
-    PackedValue r(_width);
-    for (uint32_t p = 0; p < _width; ++p) {
-        r._unk[p] = _unk[p] | rhs._unk[p];
-        r._val[p] = (_val[p] ^ rhs._val[p]) & ~r._unk[p];
-    }
-    return r;
-}
-
-PackedValue
-PackedValue::operator+(const PackedValue &rhs) const
-{
-    check(_width == rhs._width, "add: width mismatch");
-    PackedValue r(_width);
-    uint64_t xl = anyX() | rhs.anyX();
-    uint64_t carry = 0;
-    for (uint32_t p = 0; p < _width; ++p) {
-        uint64_t a = _val[p], b = rhs._val[p];
-        r._val[p] = (a ^ b ^ carry) & ~xl;
-        r._unk[p] = xl;
-        carry = (a & b) | (carry & (a ^ b));
-    }
-    return r;
-}
-
-PackedValue
-PackedValue::operator-(const PackedValue &rhs) const
-{
-    check(_width == rhs._width, "sub: width mismatch");
-    PackedValue r(_width);
-    uint64_t xl = anyX() | rhs.anyX();
-    uint64_t carry = ~0ull;  // a + ~b + 1
-    for (uint32_t p = 0; p < _width; ++p) {
-        uint64_t a = _val[p], b = ~rhs._val[p];
-        r._val[p] = (a ^ b ^ carry) & ~xl;
-        r._unk[p] = xl;
-        carry = (a & b) | (carry & (a ^ b));
-    }
+    PackedOps::bitNot(r.val(), span(), _width);
     return r;
 }
 
@@ -351,170 +796,7 @@ PackedValue
 PackedValue::negate() const
 {
     PackedValue r(_width);
-    uint64_t xl = anyX();
-    uint64_t carry = ~0ull;  // ~a + 1
-    for (uint32_t p = 0; p < _width; ++p) {
-        uint64_t a = ~_val[p];
-        r._val[p] = (a ^ carry) & ~xl;
-        r._unk[p] = xl;
-        carry = a & carry;
-    }
-    return r;
-}
-
-PackedValue
-PackedValue::scalarFallback(const PackedValue &rhs, uint64_t ok_lanes,
-                            Value (Value::*op)(const Value &) const) const
-{
-    PackedValue r = allX(_width);
-    for (uint32_t l = 0; l < kLanes; ++l) {
-        if (!((ok_lanes >> l) & 1))
-            continue;
-        r.setLane(l, (lane(l).*op)(rhs.lane(l)));
-    }
-    return r;
-}
-
-PackedValue
-PackedValue::operator*(const PackedValue &rhs) const
-{
-    check(_width == rhs._width, "mul: width mismatch");
-    return scalarFallback(rhs, ~(anyX() | rhs.anyX()),
-                          &Value::operator*);
-}
-
-PackedValue
-PackedValue::udiv(const PackedValue &rhs) const
-{
-    check(_width == rhs._width, "udiv: width mismatch");
-    return scalarFallback(
-        rhs, ~(anyX() | rhs.anyX()) & ~rhs.laneZero(), &Value::udiv);
-}
-
-PackedValue
-PackedValue::urem(const PackedValue &rhs) const
-{
-    check(_width == rhs._width, "urem: width mismatch");
-    return scalarFallback(
-        rhs, ~(anyX() | rhs.anyX()) & ~rhs.laneZero(), &Value::urem);
-}
-
-namespace {
-
-/**
- * Per-lane saturation mask for a shift: lanes whose known amount bits
- * select a shift >= width.  Bit positions >= 64 of the amount are
- * ignored, exactly like the scalar path that reads _bits[0]; the
- * scalar path instead saturates when any upper *word* is non-zero,
- * which for amount widths > 64 we mirror below.
- */
-uint64_t
-shiftSaturation(const PackedValue &amount, uint32_t width)
-{
-    uint64_t sat = 0;
-    for (uint32_t p = 0; p < amount.width(); ++p) {
-        bool overflows = p >= 64 || (1ull << std::min<uint32_t>(p, 63)) >=
-                                        static_cast<uint64_t>(width);
-        if (overflows)
-            sat |= amount.valAt(p);
-    }
-    return sat;
-}
-
-} // namespace
-
-PackedValue
-PackedValue::shl(const PackedValue &amount) const
-{
-    PackedValue r(_width);
-    uint64_t xl = anyX() | amount.anyX();
-    uint64_t sat = shiftSaturation(amount, _width);
-    std::vector<uint64_t> cur(_val);
-    for (uint32_t p = 0; p < amount._width && p < 64; ++p) {
-        uint64_t s = 1ull << p;
-        if (s >= _width)
-            break;
-        uint64_t m = amount._val[p];
-        if (!m)
-            continue;
-        for (uint32_t pos = _width; pos-- > 0;) {
-            uint64_t in = pos >= s ? cur[pos - s] : 0;
-            cur[pos] = (cur[pos] & ~m) | (in & m);
-        }
-    }
-    uint64_t keep = ~xl & ~sat;
-    for (uint32_t p = 0; p < _width; ++p) {
-        r._val[p] = cur[p] & keep;
-        r._unk[p] = xl;
-    }
-    return r;
-}
-
-PackedValue
-PackedValue::lshr(const PackedValue &amount) const
-{
-    PackedValue r(_width);
-    uint64_t xl = anyX() | amount.anyX();
-    uint64_t sat = shiftSaturation(amount, _width);
-    std::vector<uint64_t> cur(_val);
-    for (uint32_t p = 0; p < amount._width && p < 64; ++p) {
-        uint64_t s = 1ull << p;
-        if (s >= _width)
-            break;
-        uint64_t m = amount._val[p];
-        if (!m)
-            continue;
-        for (uint32_t pos = 0; pos < _width; ++pos) {
-            uint64_t in = pos + s < _width ? cur[pos + s] : 0;
-            cur[pos] = (cur[pos] & ~m) | (in & m);
-        }
-    }
-    uint64_t keep = ~xl & ~sat;
-    for (uint32_t p = 0; p < _width; ++p) {
-        r._val[p] = cur[p] & keep;
-        r._unk[p] = xl;
-    }
-    return r;
-}
-
-PackedValue
-PackedValue::ashr(const PackedValue &amount) const
-{
-    PackedValue r(_width);
-    uint64_t xl = anyX() | amount.anyX();
-    uint64_t sat = shiftSaturation(amount, _width);
-    uint64_t sign = _val[_width - 1];
-    std::vector<uint64_t> cur(_val);
-    for (uint32_t p = 0; p < amount._width && p < 64; ++p) {
-        uint64_t s = 1ull << p;
-        if (s >= _width)
-            break;
-        uint64_t m = amount._val[p];
-        if (!m)
-            continue;
-        for (uint32_t pos = 0; pos < _width; ++pos) {
-            uint64_t in = pos + s < _width ? cur[pos + s] : sign;
-            cur[pos] = (cur[pos] & ~m) | (in & m);
-        }
-    }
-    for (uint32_t p = 0; p < _width; ++p) {
-        r._val[p] = ((cur[p] & ~sat) | (sign & sat)) & ~xl;
-        r._unk[p] = xl;
-    }
-    return r;
-}
-
-PackedValue
-PackedValue::eq(const PackedValue &rhs) const
-{
-    check(_width == rhs._width, "eq: width mismatch");
-    PackedValue r(1);
-    uint64_t xl = anyX() | rhs.anyX();
-    uint64_t ne_mask = 0;
-    for (uint32_t p = 0; p < _width; ++p)
-        ne_mask |= _val[p] ^ rhs._val[p];
-    r._val[0] = ~ne_mask & ~xl;
-    r._unk[0] = xl;
+    PackedOps::neg(r.val(), span(), _width);
     return r;
 }
 
@@ -525,73 +807,28 @@ PackedValue::ne(const PackedValue &rhs) const
 }
 
 PackedValue
-PackedValue::ult(const PackedValue &rhs) const
+PackedValue::shl(const PackedValue &amount) const
 {
-    check(_width == rhs._width, "ult: width mismatch");
-    PackedValue r(1);
-    uint64_t xl = anyX() | rhs.anyX();
-    uint64_t lt = 0;
-    for (uint32_t p = 0; p < _width; ++p) {
-        uint64_t a = _val[p], b = rhs._val[p];
-        lt = (~a & b) | (~(a ^ b) & lt);
-    }
-    r._val[0] = lt & ~xl;
-    r._unk[0] = xl;
+    PackedValue r(_width);
+    PackedOps::shl(r.val(), span(), _width, amount.span(), amount._width);
     return r;
 }
 
 PackedValue
-PackedValue::ule(const PackedValue &rhs) const
+PackedValue::lshr(const PackedValue &amount) const
 {
-    check(_width == rhs._width, "ule: width mismatch");
-    PackedValue lt = ult(rhs);
-    PackedValue e = eq(rhs);
-    PackedValue r(1);
-    uint64_t xl = lt._unk[0];
-    r._val[0] = (lt._val[0] | e._val[0]) & ~xl;
-    r._unk[0] = xl;
+    PackedValue r(_width);
+    PackedOps::lshr(r.val(), span(), _width, amount.span(),
+                    amount._width);
     return r;
 }
 
 PackedValue
-PackedValue::slt(const PackedValue &rhs) const
+PackedValue::ashr(const PackedValue &amount) const
 {
-    check(_width == rhs._width, "slt: width mismatch");
-    PackedValue r(1);
-    uint64_t xl = anyX() | rhs.anyX();
-    uint64_t sa = _val[_width - 1], sb = rhs._val[_width - 1];
-    uint64_t lt = 0;
-    for (uint32_t p = 0; p < _width; ++p) {
-        uint64_t a = _val[p], b = rhs._val[p];
-        lt = (~a & b) | (~(a ^ b) & lt);
-    }
-    // Different signs: the negative side (sign bit set) is smaller.
-    r._val[0] = ((sa & ~sb) | (~(sa ^ sb) & lt)) & ~xl;
-    r._unk[0] = xl;
-    return r;
-}
-
-PackedValue
-PackedValue::sle(const PackedValue &rhs) const
-{
-    PackedValue lt = slt(rhs);
-    PackedValue e = eq(rhs);
-    PackedValue r(1);
-    uint64_t xl = lt._unk[0];
-    r._val[0] = (lt._val[0] | e._val[0]) & ~xl;
-    r._unk[0] = xl;
-    return r;
-}
-
-PackedValue
-PackedValue::caseEq(const PackedValue &rhs) const
-{
-    check(_width == rhs._width, "caseEq: width mismatch");
-    PackedValue r(1);
-    uint64_t diff = 0;
-    for (uint32_t p = 0; p < _width; ++p)
-        diff |= (_val[p] ^ rhs._val[p]) | (_unk[p] ^ rhs._unk[p]);
-    r._val[0] = ~diff;
+    PackedValue r(_width);
+    PackedOps::ashr(r.val(), span(), _width, amount.span(),
+                    amount._width);
     return r;
 }
 
@@ -599,12 +836,7 @@ PackedValue
 PackedValue::redAnd() const
 {
     PackedValue r(1);
-    uint64_t known0 = 0;
-    for (uint32_t p = 0; p < _width; ++p)
-        known0 |= ~_val[p] & ~_unk[p];
-    uint64_t xl = anyX();
-    r._val[0] = ~known0 & ~xl;
-    r._unk[0] = xl & ~known0;
+    PackedOps::redAnd(r.val(), span(), _width);
     return r;
 }
 
@@ -612,9 +844,7 @@ PackedValue
 PackedValue::redOr() const
 {
     PackedValue r(1);
-    uint64_t one = anyOne();
-    r._val[0] = one;
-    r._unk[0] = anyX() & ~one;
+    PackedOps::redOr(r.val(), span(), _width);
     return r;
 }
 
@@ -622,12 +852,7 @@ PackedValue
 PackedValue::redXor() const
 {
     PackedValue r(1);
-    uint64_t xl = anyX();
-    uint64_t parity = 0;
-    for (uint32_t p = 0; p < _width; ++p)
-        parity ^= _val[p];
-    r._val[0] = parity & ~xl;
-    r._unk[0] = xl;
+    PackedOps::redXor(r.val(), span(), _width);
     return r;
 }
 
@@ -637,18 +862,9 @@ PackedValue::ite(const PackedValue &cond, const PackedValue &then_v,
 {
     check(cond._width == 1, "ite: condition must be 1 bit");
     check(then_v._width == else_v._width, "ite: arm width mismatch");
-    uint64_t c1 = cond._val[0];
-    uint64_t cx = cond._unk[0];
-    uint64_t c0 = ~c1 & ~cx;
     PackedValue r(then_v._width);
-    for (uint32_t p = 0; p < r._width; ++p) {
-        uint64_t agree = ~then_v._unk[p] & ~else_v._unk[p] &
-                         ~(then_v._val[p] ^ else_v._val[p]);
-        r._val[p] = (c1 & then_v._val[p]) | (c0 & else_v._val[p]) |
-                    (cx & then_v._val[p] & agree);
-        r._unk[p] = (c1 & then_v._unk[p]) | (c0 & else_v._unk[p]) |
-                    (cx & ~agree);
-    }
+    PackedOps::ite(r.val(), cond.span(), then_v.span(), else_v.span(),
+                   then_v._width);
     return r;
 }
 

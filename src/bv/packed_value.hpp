@@ -22,9 +22,11 @@
  * plane bit is always zero where the unknown plane bit is set, so
  * per-lane equality is plain word comparison.
  *
- * Mul/udiv/urem take a per-lane scalar fallback through bv::Value
- * (exact by construction); everything else is O(width) word ops for
- * all 64 lanes together.
+ * Every operator is a thin allocating wrapper over its in-place
+ * PackedOps kernel (bv/kernels.hpp), the one implementation the
+ * 64-lane simulation tape also runs.  Mul/udiv/urem take a per-lane
+ * ScalarOps path on stack buffers (exact by construction);
+ * everything else is O(width) word ops for all 64 lanes together.
  */
 #ifndef RTLREPAIR_BV_PACKED_VALUE_HPP
 #define RTLREPAIR_BV_PACKED_VALUE_HPP
@@ -74,8 +76,13 @@ class PackedValue
     void setLane(uint32_t l, const Value &v);
 
     /** @name Raw plane access (for the simulator internals) @{ */
-    uint64_t valAt(uint32_t pos) const { return _val[pos]; }
-    uint64_t unkAt(uint32_t pos) const { return _unk[pos]; }
+    uint64_t valAt(uint32_t pos) const { return _w[pos]; }
+    uint64_t unkAt(uint32_t pos) const { return _w[_width + pos]; }
+    /** The storage span in PackedOps layout (bv/kernels.hpp): data
+     *  plane then X plane, width() words each. */
+    const uint64_t *span() const { return _w.data(); }
+    /** Copy a canonical PackedOps-layout span. */
+    static PackedValue fromSpan(uint32_t width, const uint64_t *span);
     /** Set bit @p pos to (val, unk) in the lanes of @p mask. */
     void setBitLanes(uint32_t pos, uint64_t val, uint64_t unk,
                      uint64_t mask);
@@ -88,8 +95,6 @@ class PackedValue
     uint64_t anyOne() const;
     /** Lanes that are fully known and non-zero (isNonZero). */
     uint64_t laneTrue() const { return anyOne() & ~anyX(); }
-    /** Lanes that are fully known and zero (isZero). */
-    uint64_t laneZero() const { return ~anyOne() & ~anyX(); }
     /** Lanes where both planes are identical (operator==). */
     uint64_t laneEq(const PackedValue &rhs) const;
     /** Value::matches per lane (X in @p expected = don't care). */
@@ -167,17 +172,12 @@ class PackedValue
   private:
     explicit PackedValue(uint32_t width);
 
-    /** Clear value-plane bits under the unknown plane (canonical). */
-    void normalize();
-    /** Per-lane scalar fallback for mul/div/rem. */
-    PackedValue scalarFallback(const PackedValue &rhs,
-                               uint64_t ok_lanes,
-                               Value (Value::*op)(const Value &)
-                                   const) const;
+    uint64_t *val() { return _w.data(); }
+    uint64_t *unk() { return _w.data() + _width; }
 
     uint32_t _width;
-    std::vector<uint64_t> _val;  ///< one word per bit position
-    std::vector<uint64_t> _unk;
+    /** Value plane then unknown plane, one word per bit position. */
+    std::vector<uint64_t> _w;
 };
 
 } // namespace rtlrepair::bv

@@ -8,76 +8,635 @@
 
 namespace rtlrepair::bv {
 
+// ---------------------------------------------------------------------
+// ScalarOps kernels: data plane then X plane, nwords(w) words each.
+// ---------------------------------------------------------------------
+
 namespace {
 
-/** Bit mask covering the valid bits of the top word. */
-uint64_t
-topMask(uint32_t width)
+bool
+anyXWords(const uint64_t *a, uint32_t w)
 {
-    uint32_t rem = width % 64u;
-    return rem == 0 ? ~0ull : ((1ull << rem) - 1ull);
+    size_t n = nwords(w);
+    for (size_t i = 0; i < n; ++i) {
+        if (a[n + i] != 0)
+            return true;
+    }
+    return false;
+}
+
+void
+fillZero(uint64_t *r, uint32_t w)
+{
+    std::fill(r, r + 2 * nwords(w), 0ull);
+}
+
+void
+fillAllX(uint64_t *r, uint32_t w)
+{
+    size_t n = nwords(w);
+    std::fill(r, r + n, 0ull);
+    std::fill(r + n, r + 2 * n, ~0ull);
+    r[2 * n - 1] &= topMask(w);
+}
+
+/** A known 1-bit result. */
+void
+setBool(uint64_t *r, bool v)
+{
+    r[0] = v ? 1u : 0u;
+    r[1] = 0;
+}
+
+/** A 1-bit X result. */
+void
+setX1(uint64_t *r)
+{
+    r[0] = 0;
+    r[1] = 1;
+}
+
+/** Set bits [from, to) of one plane. */
+void
+fillBits(uint64_t *plane, uint32_t from, uint32_t to)
+{
+    for (uint32_t i = from; i < to;) {
+        uint32_t lo = i % 64u;
+        uint32_t take = std::min(64u - lo, to - i);
+        uint64_t m = take == 64 ? ~0ull : ((1ull << take) - 1ull) << lo;
+        plane[i / 64u] |= m;
+        i += take;
+    }
+}
+
+/** Unsigned comparison of known planes: -1, 0, +1. */
+int
+compareKnown(const uint64_t *a, const uint64_t *b, size_t n)
+{
+    for (size_t i = n; i-- > 0;) {
+        if (a[i] != b[i])
+            return a[i] < b[i] ? -1 : 1;
+    }
+    return 0;
+}
+
+/** Shift amount of the known @p ws-bit @p s, saturated to @p w when
+ *  any word past the first is non-zero. */
+uint64_t
+shiftAmount(const uint64_t *s, uint32_t ws, uint32_t w)
+{
+    uint64_t by = s[0];
+    for (size_t i = 1; i < nwords(ws); ++i) {
+        if (s[i] != 0)
+            by = w;
+    }
+    return by;
+}
+
+/** Bits [lsb, lsb + 64 * nout) of the @p nsrc-word plane @p src. */
+void
+extractBits(uint64_t *dst, size_t nout, const uint64_t *src,
+            size_t nsrc, uint32_t lsb)
+{
+    size_t ws = lsb / 64u;
+    uint32_t bs = lsb % 64u;
+    for (size_t j = 0; j < nout; ++j) {
+        size_t wi = ws + j;
+        uint64_t v = wi < nsrc ? src[wi] >> bs : 0;
+        if (bs != 0 && wi + 1 < nsrc)
+            v |= src[wi + 1] << (64u - bs);
+        dst[j] = v;
+    }
+}
+
+/** OR the @p nsrc-word plane @p src into @p dst at bit @p offset. */
+void
+depositBits(uint64_t *dst, size_t ndst, const uint64_t *src,
+            size_t nsrc, uint32_t offset)
+{
+    size_t ws = offset / 64u;
+    uint32_t bs = offset % 64u;
+    for (size_t j = 0; j < nsrc; ++j) {
+        dst[ws + j] |= src[j] << bs;
+        if (bs != 0 && ws + j + 1 < ndst)
+            dst[ws + j + 1] |= src[j] >> (64u - bs);
+    }
+}
+
+/** Restoring long division of known planes, MSB first; writes the
+ *  quotient to @p q when non-null and leaves the remainder in
+ *  @p rem. */
+void
+longDivide(uint64_t *q, uint64_t *rem, const uint64_t *a,
+           const uint64_t *b, uint32_t w)
+{
+    size_t n = nwords(w);
+    std::fill(rem, rem + n, 0ull);
+    if (q)
+        std::fill(q, q + n, 0ull);
+    for (uint32_t i = w; i-- > 0;) {
+        for (size_t k = n; k-- > 1;)
+            rem[k] = (rem[k] << 1) | (rem[k - 1] >> 63);
+        rem[0] = (rem[0] << 1) | ((a[i / 64u] >> (i % 64u)) & 1u);
+        rem[n - 1] &= topMask(w);
+        if (compareKnown(rem, b, n) >= 0) {
+            uint64_t borrow = 0;
+            for (size_t k = 0; k < n; ++k) {
+                uint64_t d = rem[k] - b[k];
+                uint64_t b1 = rem[k] < b[k] ? 1u : 0u;
+                uint64_t d2 = d - borrow;
+                uint64_t b2 = d < borrow ? 1u : 0u;
+                rem[k] = d2;
+                borrow = b1 | b2;
+            }
+            if (q)
+                q[i / 64u] |= 1ull << (i % 64u);
+        }
+    }
+}
+
+bool
+isZeroKnown(const uint64_t *a, uint32_t w)
+{
+    for (size_t i = 0; i < nwords(w); ++i) {
+        if (a[i] != 0)
+            return false;
+    }
+    return true;
+}
+
+} // namespace
+
+size_t
+ScalarOps::spanWords(uint32_t width)
+{
+    return 2 * nwords(width);
+}
+
+void
+ScalarOps::bitNot(uint64_t *r, const uint64_t *a, uint32_t w)
+{
+    size_t n = nwords(w);
+    for (size_t i = 0; i < n; ++i) {
+        r[i] = ~a[i] & ~a[n + i];
+        r[n + i] = a[n + i];
+    }
+    r[n - 1] &= topMask(w);
+}
+
+void
+ScalarOps::neg(uint64_t *r, const uint64_t *a, uint32_t w)
+{
+    if (anyXWords(a, w))
+        return fillAllX(r, w);
+    size_t n = nwords(w);
+    uint64_t carry = 1;
+    for (size_t i = 0; i < n; ++i) {
+        uint64_t v = ~a[i];
+        r[i] = v + carry;
+        carry = r[i] < v ? 1u : 0u;
+        r[n + i] = 0;
+    }
+    r[n - 1] &= topMask(w);
+}
+
+void
+ScalarOps::redAnd(uint64_t *r, const uint64_t *a, uint32_t wa)
+{
+    size_t n = nwords(wa);
+    uint64_t known0 = 0;
+    for (size_t i = 0; i < n; ++i) {
+        uint64_t valid = i + 1 == n ? topMask(wa) : ~0ull;
+        known0 |= ~a[i] & ~a[n + i] & valid;
+    }
+    if (known0)
+        return setBool(r, false);
+    if (anyXWords(a, wa))
+        return setX1(r);
+    setBool(r, true);
+}
+
+void
+ScalarOps::redOr(uint64_t *r, const uint64_t *a, uint32_t wa)
+{
+    size_t n = nwords(wa);
+    for (size_t i = 0; i < n; ++i) {
+        if (a[i] != 0)
+            return setBool(r, true);
+    }
+    if (anyXWords(a, wa))
+        return setX1(r);
+    setBool(r, false);
+}
+
+void
+ScalarOps::redXor(uint64_t *r, const uint64_t *a, uint32_t wa)
+{
+    if (anyXWords(a, wa))
+        return setX1(r);
+    uint64_t parity = 0;
+    for (size_t i = 0; i < nwords(wa); ++i)
+        parity ^= a[i];
+    setBool(r, __builtin_parityll(parity) != 0);
+}
+
+void
+ScalarOps::bitAnd(uint64_t *r, const uint64_t *a, const uint64_t *b,
+                  uint32_t w)
+{
+    size_t n = nwords(w);
+    for (size_t i = 0; i < n; ++i) {
+        // Known one bits: both known one.  Unknown unless either is a
+        // known zero.
+        uint64_t one = a[i] & b[i];
+        uint64_t zero = (~a[n + i] & ~a[i]) | (~b[n + i] & ~b[i]);
+        r[i] = one;
+        r[n + i] = ~(one | zero);
+    }
+    r[2 * n - 1] &= topMask(w);
+}
+
+void
+ScalarOps::bitOr(uint64_t *r, const uint64_t *a, const uint64_t *b,
+                 uint32_t w)
+{
+    size_t n = nwords(w);
+    for (size_t i = 0; i < n; ++i) {
+        uint64_t one = a[i] | b[i];
+        uint64_t zero = (~a[n + i] & ~a[i]) & (~b[n + i] & ~b[i]);
+        r[i] = one;
+        r[n + i] = ~(one | zero);
+    }
+    r[2 * n - 1] &= topMask(w);
+}
+
+void
+ScalarOps::bitXor(uint64_t *r, const uint64_t *a, const uint64_t *b,
+                  uint32_t w)
+{
+    size_t n = nwords(w);
+    for (size_t i = 0; i < n; ++i) {
+        uint64_t x = a[n + i] | b[n + i];
+        r[n + i] = x;
+        r[i] = (a[i] ^ b[i]) & ~x;
+    }
+}
+
+void
+ScalarOps::add(uint64_t *r, const uint64_t *a, const uint64_t *b,
+               uint32_t w)
+{
+    if (anyXWords(a, w) || anyXWords(b, w))
+        return fillAllX(r, w);
+    size_t n = nwords(w);
+    uint64_t carry = 0;
+    for (size_t i = 0; i < n; ++i) {
+        uint64_t sum = a[i] + carry;
+        uint64_t carry1 = sum < a[i] ? 1u : 0u;
+        uint64_t total = sum + b[i];
+        uint64_t carry2 = total < sum ? 1u : 0u;
+        r[i] = total;
+        r[n + i] = 0;
+        carry = carry1 | carry2;
+    }
+    r[n - 1] &= topMask(w);
+}
+
+void
+ScalarOps::sub(uint64_t *r, const uint64_t *a, const uint64_t *b,
+               uint32_t w)
+{
+    if (anyXWords(a, w) || anyXWords(b, w))
+        return fillAllX(r, w);
+    size_t n = nwords(w);
+    uint64_t carry = 1;  // a + ~b + 1
+    for (size_t i = 0; i < n; ++i) {
+        uint64_t nb = ~b[i];
+        uint64_t sum = a[i] + nb;
+        uint64_t carry1 = sum < a[i] ? 1u : 0u;
+        uint64_t total = sum + carry;
+        uint64_t carry2 = total < sum ? 1u : 0u;
+        r[i] = total;
+        r[n + i] = 0;
+        carry = carry1 | carry2;
+    }
+    r[n - 1] &= topMask(w);
+}
+
+void
+ScalarOps::mul(uint64_t *r, const uint64_t *a, const uint64_t *b,
+               uint32_t w)
+{
+    if (anyXWords(a, w) || anyXWords(b, w))
+        return fillAllX(r, w);
+    size_t n = nwords(w);
+    fillZero(r, w);
+    for (size_t i = 0; i < n; ++i) {
+        uint64_t carry = 0;
+        for (size_t j = 0; i + j < n; ++j) {
+            unsigned __int128 cur =
+                static_cast<unsigned __int128>(a[i]) * b[j] + r[i + j] +
+                carry;
+            r[i + j] = static_cast<uint64_t>(cur);
+            carry = static_cast<uint64_t>(cur >> 64);
+        }
+    }
+    r[n - 1] &= topMask(w);
+}
+
+void
+ScalarOps::udiv(uint64_t *r, const uint64_t *a, const uint64_t *b,
+                uint32_t w)
+{
+    if (anyXWords(a, w) || anyXWords(b, w) || isZeroKnown(b, w))
+        return fillAllX(r, w);
+    size_t n = nwords(w);
+    if (n == 1) {
+        r[0] = a[0] / b[0];
+        r[1] = 0;
+        return;
+    }
+    // The X plane is the remainder's scratch until the end.
+    longDivide(r, r + n, a, b, w);
+    std::fill(r + n, r + 2 * n, 0ull);
+}
+
+void
+ScalarOps::urem(uint64_t *r, const uint64_t *a, const uint64_t *b,
+                uint32_t w)
+{
+    if (anyXWords(a, w) || anyXWords(b, w) || isZeroKnown(b, w))
+        return fillAllX(r, w);
+    size_t n = nwords(w);
+    if (n == 1) {
+        r[0] = a[0] % b[0];
+        r[1] = 0;
+        return;
+    }
+    longDivide(nullptr, r, a, b, w);
+    std::fill(r + n, r + 2 * n, 0ull);
+}
+
+void
+ScalarOps::shl(uint64_t *r, const uint64_t *a, uint32_t w,
+               const uint64_t *s, uint32_t ws)
+{
+    if (anyXWords(a, w) || anyXWords(s, ws))
+        return fillAllX(r, w);
+    uint64_t by = shiftAmount(s, ws, w);
+    fillZero(r, w);
+    if (by >= w)
+        return;
+    size_t n = nwords(w);
+    size_t wsh = by / 64u;
+    uint32_t bsh = by % 64u;
+    for (size_t j = wsh; j < n; ++j) {
+        r[j] = a[j - wsh] << bsh;
+        if (bsh != 0 && j > wsh)
+            r[j] |= a[j - wsh - 1] >> (64u - bsh);
+    }
+    r[n - 1] &= topMask(w);
+}
+
+void
+ScalarOps::lshr(uint64_t *r, const uint64_t *a, uint32_t w,
+                const uint64_t *s, uint32_t ws)
+{
+    if (anyXWords(a, w) || anyXWords(s, ws))
+        return fillAllX(r, w);
+    uint64_t by = shiftAmount(s, ws, w);
+    fillZero(r, w);
+    if (by >= w)
+        return;
+    extractBits(r, nwords(w), a, nwords(w), static_cast<uint32_t>(by));
+}
+
+void
+ScalarOps::ashr(uint64_t *r, const uint64_t *a, uint32_t w,
+                const uint64_t *s, uint32_t ws)
+{
+    if (anyXWords(a, w) || anyXWords(s, ws))
+        return fillAllX(r, w);
+    uint64_t by = shiftAmount(s, ws, w);
+    bool sign = (a[(w - 1) / 64u] >> ((w - 1) % 64u)) & 1u;
+    fillZero(r, w);
+    if (by >= w) {
+        if (sign)
+            fillBits(r, 0, w);
+        return;
+    }
+    extractBits(r, nwords(w), a, nwords(w), static_cast<uint32_t>(by));
+    if (sign)
+        fillBits(r, w - static_cast<uint32_t>(by), w);
+}
+
+void
+ScalarOps::eq(uint64_t *r, const uint64_t *a, const uint64_t *b,
+              uint32_t w)
+{
+    if (anyXWords(a, w) || anyXWords(b, w))
+        return setX1(r);
+    setBool(r, compareKnown(a, b, nwords(w)) == 0);
+}
+
+void
+ScalarOps::ult(uint64_t *r, const uint64_t *a, const uint64_t *b,
+               uint32_t w)
+{
+    if (anyXWords(a, w) || anyXWords(b, w))
+        return setX1(r);
+    setBool(r, compareKnown(a, b, nwords(w)) < 0);
+}
+
+void
+ScalarOps::ule(uint64_t *r, const uint64_t *a, const uint64_t *b,
+               uint32_t w)
+{
+    if (anyXWords(a, w) || anyXWords(b, w))
+        return setX1(r);
+    setBool(r, compareKnown(a, b, nwords(w)) <= 0);
+}
+
+namespace {
+
+/** Known signed comparison: -1, 0, +1. */
+int
+compareSigned(const uint64_t *a, const uint64_t *b, uint32_t w)
+{
+    size_t top = (w - 1) / 64u;
+    uint32_t bit = (w - 1) % 64u;
+    int sa = (a[top] >> bit) & 1u, sb = (b[top] >> bit) & 1u;
+    if (sa != sb)
+        return sa == 1 ? -1 : 1;
+    return compareKnown(a, b, nwords(w));
 }
 
 } // namespace
 
 void
-Value::normalize()
+ScalarOps::slt(uint64_t *r, const uint64_t *a, const uint64_t *b,
+               uint32_t w)
 {
-    check(_width > 0, "zero-width Value");
+    if (anyXWords(a, w) || anyXWords(b, w))
+        return setX1(r);
+    setBool(r, compareSigned(a, b, w) < 0);
+}
+
+void
+ScalarOps::sle(uint64_t *r, const uint64_t *a, const uint64_t *b,
+               uint32_t w)
+{
+    if (anyXWords(a, w) || anyXWords(b, w))
+        return setX1(r);
+    setBool(r, compareSigned(a, b, w) <= 0);
+}
+
+void
+ScalarOps::caseEq(uint64_t *r, const uint64_t *a, const uint64_t *b,
+                  uint32_t w)
+{
+    setBool(r, std::equal(a, a + 2 * nwords(w), b));
+}
+
+void
+ScalarOps::concat(uint64_t *r, const uint64_t *hi, uint32_t whi,
+                  const uint64_t *lo, uint32_t wlo)
+{
+    uint32_t w = whi + wlo;
+    size_t n = nwords(w), nhi = nwords(whi), nlo = nwords(wlo);
+    fillZero(r, w);
+    for (size_t p = 0; p < 2; ++p) {
+        std::copy(lo + p * nlo, lo + (p + 1) * nlo, r + p * n);
+        depositBits(r + p * n, n, hi + p * nhi, nhi, wlo);
+    }
+}
+
+void
+ScalarOps::slice(uint64_t *r, const uint64_t *a, uint32_t wa,
+                 uint32_t msb, uint32_t lsb)
+{
+    uint32_t w = msb - lsb + 1;
+    size_t n = nwords(w), na = nwords(wa);
+    for (size_t p = 0; p < 2; ++p) {
+        extractBits(r + p * n, n, a + p * na, na, lsb);
+        r[p * n + n - 1] &= topMask(w);
+    }
+}
+
+void
+ScalarOps::ite(uint64_t *r, const uint64_t *c, const uint64_t *t,
+               const uint64_t *e, uint32_t w)
+{
+    size_t n = nwords(w);
+    if (!(c[1] & 1u)) {
+        const uint64_t *src = (c[0] & 1u) ? t : e;
+        std::copy(src, src + 2 * n, r);
+        return;
+    }
+    // X condition: bits where both arms agree and are known survive.
+    for (size_t i = 0; i < n; ++i) {
+        uint64_t agree = ~t[n + i] & ~e[n + i] & ~(t[i] ^ e[i]);
+        r[i] = t[i] & agree;
+        r[n + i] = ~agree;
+    }
+    r[2 * n - 1] &= topMask(w);
+}
+
+void
+ScalarOps::zext(uint64_t *r, const uint64_t *a, uint32_t wa, uint32_t w)
+{
+    size_t n = nwords(w), na = nwords(wa);
+    for (size_t p = 0; p < 2; ++p) {
+        std::copy(a + p * na, a + (p + 1) * na, r + p * n);
+        std::fill(r + p * n + na, r + (p + 1) * n, 0ull);
+    }
+}
+
+void
+ScalarOps::sext(uint64_t *r, const uint64_t *a, uint32_t wa, uint32_t w)
+{
+    zext(r, a, wa, w);
+    size_t n = nwords(w), na = nwords(wa);
+    uint64_t m = 1ull << ((wa - 1) % 64u);
+    size_t top = (wa - 1) / 64u;
+    if (a[na + top] & m)
+        fillBits(r + n, wa, w);
+    else if (a[top] & m)
+        fillBits(r, wa, w);
+}
+
+bool
+ScalarOps::matches(const uint64_t *got, uint32_t wg, const uint64_t *exp,
+                   uint32_t we)
+{
+    // Width mismatches happen when a bug changes a port width (e.g.
+    // the mux_k1 benchmark).  Compare zero-extended, the way a
+    // testbench comparison against a wider vector would.
+    size_t ng = nwords(wg), ne = nwords(we);
+    size_t n = std::max(ng, ne);
+    for (size_t i = 0; i < n; ++i) {
+        uint64_t gd = i < ng ? got[i] : 0, gx = i < ng ? got[ng + i] : 0;
+        uint64_t ed = i < ne ? exp[i] : 0, ex = i < ne ? exp[ne + i] : 0;
+        uint64_t care = ~ex;
+        if (((gx | (gd ^ ed)) & care) != 0)
+            return false;
+    }
+    return true;
+}
+
+// ---------------------------------------------------------------------
+// Value: allocating wrappers over the ScalarOps kernels.
+// ---------------------------------------------------------------------
+
+Value::Value(uint32_t width) : _width(width)
+{
+    check(width > 0, "zero-width Value");
     // A defensive cap: widths beyond this are always the result of a
     // corrupted constant (e.g. a mutated part-select bound), and the
     // bit-level algorithms would effectively hang on them.
-    if (_width > (1u << 22))
+    if (width > (1u << 22))
         fatal("bit-vector width too large");
+    _w.assign(2 * nwords(width), 0);
+}
+
+void
+Value::normalize()
+{
+    size_t n = nwords(_width);
     uint64_t mask = topMask(_width);
-    _bits.back() &= mask;
-    _xmask.back() &= mask;
-    for (size_t i = 0; i < _bits.size(); ++i)
-        _bits[i] &= ~_xmask[i];
+    _w[n - 1] &= mask;
+    _w[2 * n - 1] &= mask;
+    for (size_t i = 0; i < n; ++i)
+        _w[i] &= ~_w[n + i];
 }
 
 Value
 Value::zeros(uint32_t width)
 {
-    check(width > 0, "zero-width Value");
-    return Value(width, nwords(width));
+    return Value(width);
 }
 
 Value
 Value::ones(uint32_t width)
 {
-    Value v = zeros(width);
-    for (auto &w : v._bits)
-        w = ~0ull;
-    v.normalize();
+    Value v(width);
+    fillBits(v.data(), 0, width);
     return v;
 }
 
 Value
 Value::allX(uint32_t width)
 {
-    Value v = zeros(width);
-    for (auto &w : v._xmask)
-        w = ~0ull;
-    v.normalize();
+    Value v(width);
+    fillAllX(v.data(), width);
     return v;
 }
 
 Value
 Value::fromUint(uint32_t width, uint64_t value)
 {
-    Value v = zeros(width);
-    v._bits[0] = value;
-    v.normalize();
-    return v;
-}
-
-Value
-Value::fromWords(uint32_t width, std::vector<uint64_t> words)
-{
-    Value v = zeros(width);
-    for (size_t i = 0; i < v._bits.size() && i < words.size(); ++i)
-        v._bits[i] = words[i];
+    Value v(width);
+    v._w[0] = value;
     v.normalize();
     return v;
 }
@@ -85,9 +644,9 @@ Value::fromWords(uint32_t width, std::vector<uint64_t> words)
 Value
 Value::random(uint32_t width, Rng &rng)
 {
-    Value v = zeros(width);
-    for (auto &w : v._bits)
-        w = rng.next();
+    Value v(width);
+    for (size_t i = 0; i < nwords(width); ++i)
+        v._w[i] = rng.next();
     v.normalize();
     return v;
 }
@@ -152,7 +711,7 @@ Value::parseVerilog(std::string_view literal)
         fatal("unknown literal base: " + std::string(literal));
     }
 
-    Value v = zeros(width);
+    Value v(width);
     if (bits_per_digit == 0) {
         uint64_t value = 0;
         for (char c : digits) {
@@ -208,55 +767,33 @@ Value::parseVerilog(std::string_view literal)
 bool
 Value::hasX() const
 {
-    for (uint64_t w : _xmask) {
-        if (w != 0)
-            return true;
-    }
-    return false;
+    return anyXWords(_w.data(), _width);
 }
 
 bool
 Value::isZero() const
 {
-    if (hasX())
-        return false;
-    for (uint64_t w : _bits) {
-        if (w != 0)
-            return false;
-    }
-    return true;
+    return !hasX() && isZeroKnown(_w.data(), _width);
 }
 
 bool
 Value::isNonZero() const
 {
-    if (hasX())
-        return false;
-    for (uint64_t w : _bits) {
-        if (w != 0)
-            return true;
-    }
-    return false;
+    return !hasX() && !isZeroKnown(_w.data(), _width);
 }
 
 uint64_t
 Value::toUint64() const
 {
-    check(_xmask[0] == 0, "toUint64 on X value");
-    return _bits[0];
+    check(xmaskWord(0) == 0, "toUint64 on X value");
+    return _w[0];
 }
 
 Value
-Value::fromPlanes(uint32_t width, std::vector<uint64_t> bits,
-                  std::vector<uint64_t> xmask)
+Value::fromSpan(uint32_t width, const uint64_t *span)
 {
-    size_t n = nwords(width);
-    bits.resize(n, 0);
-    xmask.resize(n, 0);
-    Value v(width, n);
-    v._bits = std::move(bits);
-    v._xmask = std::move(xmask);
-    v.normalize();
+    Value v(width);
+    std::copy(span, span + v._w.size(), v._w.begin());
     return v;
 }
 
@@ -292,47 +829,29 @@ std::string
 Value::toDisplayString() const
 {
     if (!hasX() && _width <= 64)
-        return format("%llu", static_cast<unsigned long long>(_bits[0]));
+        return format("%llu", static_cast<unsigned long long>(_w[0]));
     return toBinaryString();
 }
 
 bool
 Value::operator==(const Value &other) const
 {
-    return _width == other._width && _bits == other._bits &&
-           _xmask == other._xmask;
+    return _width == other._width && _w == other._w;
 }
 
 bool
 Value::matches(const Value &expected) const
 {
-    if (_width != expected._width) {
-        // Width mismatches happen when a bug changes a port width
-        // (e.g. the mux_k1 benchmark).  Compare zero-extended, the
-        // way a testbench comparison against a wider vector would.
-        uint32_t w = std::max(_width, expected._width);
-        return zext(w).matches(expected.zext(w));
-    }
-    for (size_t i = 0; i < _bits.size(); ++i) {
-        uint64_t care = ~expected._xmask[i];
-        if (i + 1 == _bits.size())
-            care &= topMask(_width);
-        if ((_xmask[i] & care) != 0)
-            return false; // our bit unknown where the trace checks
-        if (((_bits[i] ^ expected._bits[i]) & care) != 0)
-            return false;
-    }
-    return true;
+    return ScalarOps::matches(span(), _width, expected.span(),
+                              expected._width);
 }
 
 Value
 Value::zext(uint32_t new_width) const
 {
     check(new_width >= _width, "zext must not shrink");
-    Value v = zeros(new_width);
-    std::copy(_bits.begin(), _bits.end(), v._bits.begin());
-    std::copy(_xmask.begin(), _xmask.end(), v._xmask.begin());
-    v.normalize();
+    Value v(new_width);
+    ScalarOps::zext(v.data(), span(), _width, new_width);
     return v;
 }
 
@@ -340,10 +859,8 @@ Value
 Value::sext(uint32_t new_width) const
 {
     check(new_width >= _width, "sext must not shrink");
-    Value v = zext(new_width);
-    int msb = bit(_width - 1);
-    for (uint32_t i = _width; i < new_width; ++i)
-        v.setBit(i, msb);
+    Value v(new_width);
+    ScalarOps::sext(v.data(), span(), _width, new_width);
     return v;
 }
 
@@ -351,20 +868,16 @@ Value
 Value::slice(uint32_t hi, uint32_t lo) const
 {
     check(hi < _width && lo <= hi, "slice out of range");
-    Value v = zeros(hi - lo + 1);
-    for (uint32_t i = lo; i <= hi; ++i)
-        v.setBit(i - lo, bit(i));
+    Value v(hi - lo + 1);
+    ScalarOps::slice(v.data(), span(), _width, hi, lo);
     return v;
 }
 
 Value
 Value::concat(const Value &low) const
 {
-    Value v = zeros(_width + low._width);
-    for (uint32_t i = 0; i < low._width; ++i)
-        v.setBit(i, low.bit(i));
-    for (uint32_t i = 0; i < _width; ++i)
-        v.setBit(low._width + i, bit(i));
+    Value v(_width + low._width);
+    ScalarOps::concat(v.data(), span(), _width, low.span(), low._width);
     return v;
 }
 
@@ -372,236 +885,81 @@ Value
 Value::replicate(uint32_t n) const
 {
     check(n > 0, "replicate zero times");
+    if (uint64_t(_width) * n > (1u << 22))
+        fatal("bit-vector width too large");
     Value v = *this;
     for (uint32_t i = 1; i < n; ++i)
         v = v.concat(*this);
     return v;
 }
 
+#define RTLREPAIR_VALUE_BINARY(signature, kernel, out_width, what)      \
+    Value Value::signature(const Value &rhs) const                     \
+    {                                                                  \
+        check(_width == rhs._width, what ": width mismatch");          \
+        Value v(out_width);                                            \
+        ScalarOps::kernel(v.data(), span(), rhs.span(), _width);       \
+        return v;                                                      \
+    }
+
+RTLREPAIR_VALUE_BINARY(operator&, bitAnd, _width, "and")
+RTLREPAIR_VALUE_BINARY(operator|, bitOr, _width, "or")
+RTLREPAIR_VALUE_BINARY(operator^, bitXor, _width, "xor")
+RTLREPAIR_VALUE_BINARY(operator+, add, _width, "add")
+RTLREPAIR_VALUE_BINARY(operator-, sub, _width, "sub")
+RTLREPAIR_VALUE_BINARY(operator*, mul, _width, "mul")
+RTLREPAIR_VALUE_BINARY(udiv, udiv, _width, "udiv")
+RTLREPAIR_VALUE_BINARY(urem, urem, _width, "urem")
+RTLREPAIR_VALUE_BINARY(eq, eq, 1, "eq")
+RTLREPAIR_VALUE_BINARY(ult, ult, 1, "ult")
+RTLREPAIR_VALUE_BINARY(ule, ule, 1, "ule")
+RTLREPAIR_VALUE_BINARY(slt, slt, 1, "slt")
+RTLREPAIR_VALUE_BINARY(sle, sle, 1, "sle")
+RTLREPAIR_VALUE_BINARY(caseEq, caseEq, 1, "caseEq")
+
+#undef RTLREPAIR_VALUE_BINARY
+
 Value
 Value::operator~() const
 {
-    Value v = *this;
-    for (size_t i = 0; i < v._bits.size(); ++i)
-        v._bits[i] = ~v._bits[i];
-    v.normalize();
-    return v;
-}
-
-Value
-Value::operator&(const Value &rhs) const
-{
-    check(_width == rhs._width, "and: width mismatch");
-    Value v = zeros(_width);
-    for (size_t i = 0; i < _bits.size(); ++i) {
-        // Known one bits: both known one.  Unknown unless either is a
-        // known zero.
-        uint64_t known_a = ~_xmask[i];
-        uint64_t known_b = ~rhs._xmask[i];
-        uint64_t one = (_bits[i] & known_a) & (rhs._bits[i] & known_b);
-        uint64_t zero = (known_a & ~_bits[i]) | (known_b & ~rhs._bits[i]);
-        v._bits[i] = one;
-        v._xmask[i] = ~(one | zero);
-    }
-    v.normalize();
-    return v;
-}
-
-Value
-Value::operator|(const Value &rhs) const
-{
-    check(_width == rhs._width, "or: width mismatch");
-    Value v = zeros(_width);
-    for (size_t i = 0; i < _bits.size(); ++i) {
-        uint64_t known_a = ~_xmask[i];
-        uint64_t known_b = ~rhs._xmask[i];
-        uint64_t one = (_bits[i] & known_a) | (rhs._bits[i] & known_b);
-        uint64_t zero = (known_a & ~_bits[i]) & (known_b & ~rhs._bits[i]);
-        v._bits[i] = one;
-        v._xmask[i] = ~(one | zero);
-    }
-    v.normalize();
-    return v;
-}
-
-Value
-Value::operator^(const Value &rhs) const
-{
-    check(_width == rhs._width, "xor: width mismatch");
-    Value v = zeros(_width);
-    for (size_t i = 0; i < _bits.size(); ++i) {
-        v._xmask[i] = _xmask[i] | rhs._xmask[i];
-        v._bits[i] = _bits[i] ^ rhs._bits[i];
-    }
-    v.normalize();
-    return v;
-}
-
-Value
-Value::operator+(const Value &rhs) const
-{
-    check(_width == rhs._width, "add: width mismatch");
-    if (hasX() || rhs.hasX())
-        return allX(_width);
-    Value v = zeros(_width);
-    uint64_t carry = 0;
-    for (size_t i = 0; i < _bits.size(); ++i) {
-        uint64_t sum = _bits[i] + carry;
-        uint64_t carry1 = sum < _bits[i] ? 1u : 0u;
-        uint64_t total = sum + rhs._bits[i];
-        uint64_t carry2 = total < sum ? 1u : 0u;
-        v._bits[i] = total;
-        carry = carry1 | carry2;
-    }
-    v.normalize();
+    Value v(_width);
+    ScalarOps::bitNot(v.data(), span(), _width);
     return v;
 }
 
 Value
 Value::negate() const
 {
-    if (hasX())
-        return allX(_width);
-    Value v = ~*this;
-    return v + fromUint(_width, 1);
-}
-
-Value
-Value::operator-(const Value &rhs) const
-{
-    check(_width == rhs._width, "sub: width mismatch");
-    if (hasX() || rhs.hasX())
-        return allX(_width);
-    return *this + rhs.negate();
-}
-
-Value
-Value::operator*(const Value &rhs) const
-{
-    check(_width == rhs._width, "mul: width mismatch");
-    if (hasX() || rhs.hasX())
-        return allX(_width);
-    size_t n = _bits.size();
-    std::vector<uint64_t> acc(n, 0);
-    for (size_t i = 0; i < n; ++i) {
-        uint64_t carry = 0;
-        for (size_t j = 0; i + j < n; ++j) {
-            unsigned __int128 cur =
-                static_cast<unsigned __int128>(_bits[i]) * rhs._bits[j] +
-                acc[i + j] + carry;
-            acc[i + j] = static_cast<uint64_t>(cur);
-            carry = static_cast<uint64_t>(cur >> 64);
-        }
-    }
-    return fromWords(_width, std::move(acc));
-}
-
-Value
-Value::udiv(const Value &rhs) const
-{
-    check(_width == rhs._width, "udiv: width mismatch");
-    if (hasX() || rhs.hasX() || rhs.isZero())
-        return allX(_width);
-    // Simple restoring long division, MSB first.
-    Value quotient = zeros(_width);
-    Value remainder = zeros(_width);
-    for (uint32_t i = _width; i-- > 0;) {
-        remainder = remainder.shl(fromUint(_width, 1));
-        remainder.setBit(0, bit(i));
-        if (rhs.ule(remainder).isNonZero()) {
-            remainder = remainder - rhs;
-            quotient.setBit(i, 1);
-        }
-    }
-    return quotient;
-}
-
-Value
-Value::urem(const Value &rhs) const
-{
-    check(_width == rhs._width, "urem: width mismatch");
-    if (hasX() || rhs.hasX() || rhs.isZero())
-        return allX(_width);
-    Value quotient = udiv(rhs);
-    return *this - quotient * rhs;
+    Value v(_width);
+    ScalarOps::neg(v.data(), span(), _width);
+    return v;
 }
 
 Value
 Value::shl(const Value &amount) const
 {
-    if (hasX() || amount.hasX())
-        return allX(_width);
-    uint64_t by = amount._bits[0];
-    for (size_t i = 1; i < amount._bits.size(); ++i) {
-        if (amount._bits[i] != 0)
-            by = _width; // saturate
-    }
-    if (by >= _width)
-        return zeros(_width);
-    Value v = zeros(_width);
-    for (uint32_t i = static_cast<uint32_t>(by); i < _width; ++i)
-        v.setBit(i, bit(i - static_cast<uint32_t>(by)));
+    Value v(_width);
+    ScalarOps::shl(v.data(), span(), _width, amount.span(),
+                   amount._width);
     return v;
 }
 
 Value
 Value::lshr(const Value &amount) const
 {
-    if (hasX() || amount.hasX())
-        return allX(_width);
-    uint64_t by = amount._bits[0];
-    for (size_t i = 1; i < amount._bits.size(); ++i) {
-        if (amount._bits[i] != 0)
-            by = _width;
-    }
-    if (by >= _width)
-        return zeros(_width);
-    Value v = zeros(_width);
-    for (uint32_t i = 0; i + by < _width; ++i)
-        v.setBit(i, bit(i + static_cast<uint32_t>(by)));
+    Value v(_width);
+    ScalarOps::lshr(v.data(), span(), _width, amount.span(),
+                    amount._width);
     return v;
 }
 
 Value
 Value::ashr(const Value &amount) const
 {
-    if (hasX() || amount.hasX())
-        return allX(_width);
-    uint64_t by = amount._bits[0];
-    for (size_t i = 1; i < amount._bits.size(); ++i) {
-        if (amount._bits[i] != 0)
-            by = _width;
-    }
-    int sign = bit(_width - 1);
-    if (by >= _width)
-        return sign == 1 ? ones(_width) : zeros(_width);
-    Value v = zeros(_width);
-    for (uint32_t i = 0; i < _width; ++i) {
-        uint64_t src = i + by;
-        v.setBit(i, src < _width ? bit(static_cast<uint32_t>(src)) : sign);
-    }
+    Value v(_width);
+    ScalarOps::ashr(v.data(), span(), _width, amount.span(),
+                    amount._width);
     return v;
-}
-
-int
-Value::compareKnown(const Value &a, const Value &b)
-{
-    for (size_t i = a._bits.size(); i-- > 0;) {
-        if (a._bits[i] < b._bits[i])
-            return -1;
-        if (a._bits[i] > b._bits[i])
-            return 1;
-    }
-    return 0;
-}
-
-Value
-Value::eq(const Value &rhs) const
-{
-    check(_width == rhs._width, "eq: width mismatch");
-    if (hasX() || rhs.hasX())
-        return allX(1);
-    return fromUint(1, compareKnown(*this, rhs) == 0 ? 1u : 0u);
 }
 
 Value
@@ -612,97 +970,27 @@ Value::ne(const Value &rhs) const
 }
 
 Value
-Value::ult(const Value &rhs) const
-{
-    check(_width == rhs._width, "ult: width mismatch");
-    if (hasX() || rhs.hasX())
-        return allX(1);
-    return fromUint(1, compareKnown(*this, rhs) < 0 ? 1u : 0u);
-}
-
-Value
-Value::ule(const Value &rhs) const
-{
-    check(_width == rhs._width, "ule: width mismatch");
-    if (hasX() || rhs.hasX())
-        return allX(1);
-    return fromUint(1, compareKnown(*this, rhs) <= 0 ? 1u : 0u);
-}
-
-Value
-Value::slt(const Value &rhs) const
-{
-    check(_width == rhs._width, "slt: width mismatch");
-    if (hasX() || rhs.hasX())
-        return allX(1);
-    int sa = signBit(), sb = rhs.signBit();
-    if (sa != sb)
-        return fromUint(1, sa == 1 ? 1u : 0u);
-    return fromUint(1, compareKnown(*this, rhs) < 0 ? 1u : 0u);
-}
-
-Value
-Value::sle(const Value &rhs) const
-{
-    Value lt = slt(rhs);
-    if (lt.hasX())
-        return lt;
-    if (lt.isNonZero())
-        return lt;
-    return eq(rhs);
-}
-
-Value
-Value::caseEq(const Value &rhs) const
-{
-    check(_width == rhs._width, "caseEq: width mismatch");
-    bool equal = _bits == rhs._bits && _xmask == rhs._xmask;
-    return fromUint(1, equal ? 1u : 0u);
-}
-
-Value
 Value::redAnd() const
 {
-    bool any_x = false;
-    for (uint32_t i = 0; i < _width; ++i) {
-        int b = bit(i);
-        if (b == 0)
-            return fromUint(1, 0);
-        if (b < 0)
-            any_x = true;
-    }
-    return any_x ? allX(1) : fromUint(1, 1);
+    Value v(1);
+    ScalarOps::redAnd(v.data(), span(), _width);
+    return v;
 }
 
 Value
 Value::redOr() const
 {
-    bool any_x = false;
-    for (uint32_t i = 0; i < _width; ++i) {
-        int b = bit(i);
-        if (b == 1)
-            return fromUint(1, 1);
-        if (b < 0)
-            any_x = true;
-    }
-    return any_x ? allX(1) : fromUint(1, 0);
+    Value v(1);
+    ScalarOps::redOr(v.data(), span(), _width);
+    return v;
 }
 
 Value
 Value::redXor() const
 {
-    if (hasX())
-        return allX(1);
-    uint64_t parity = 0;
-    for (uint64_t w : _bits)
-        parity ^= w;
-    parity ^= parity >> 32;
-    parity ^= parity >> 16;
-    parity ^= parity >> 8;
-    parity ^= parity >> 4;
-    parity ^= parity >> 2;
-    parity ^= parity >> 1;
-    return fromUint(1, parity & 1u);
+    Value v(1);
+    ScalarOps::redXor(v.data(), span(), _width);
+    return v;
 }
 
 Value
@@ -710,18 +998,9 @@ Value::ite(const Value &cond, const Value &then_v, const Value &else_v)
 {
     check(cond._width == 1, "ite: condition must be 1 bit");
     check(then_v._width == else_v._width, "ite: arm width mismatch");
-    int c = cond.bit(0);
-    if (c == 1)
-        return then_v;
-    if (c == 0)
-        return else_v;
-    // X condition: merge arms bitwise.
-    Value v = zeros(then_v._width);
-    for (uint32_t i = 0; i < v._width; ++i) {
-        int a = then_v.bit(i);
-        int b = else_v.bit(i);
-        v.setBit(i, (a == b && a >= 0) ? a : -1);
-    }
+    Value v(then_v._width);
+    ScalarOps::ite(v.data(), cond.span(), then_v.span(), else_v.span(),
+                   then_v._width);
     return v;
 }
 
@@ -729,8 +1008,7 @@ Value
 Value::xToZero() const
 {
     Value v = *this;
-    for (auto &w : v._xmask)
-        w = 0;
+    std::fill(v.xplane(), v.xplane() + nwords(_width), 0ull);
     return v;
 }
 
@@ -738,9 +1016,10 @@ Value
 Value::xToRandom(Rng &rng) const
 {
     Value v = *this;
-    for (size_t i = 0; i < v._bits.size(); ++i) {
-        v._bits[i] |= rng.next() & v._xmask[i];
-        v._xmask[i] = 0;
+    size_t n = nwords(_width);
+    for (size_t i = 0; i < n; ++i) {
+        v._w[i] |= rng.next() & v._w[n + i];
+        v._w[n + i] = 0;
     }
     v.normalize();
     return v;
@@ -753,10 +1032,11 @@ Value::hash() const
     auto mix = [&h](uint64_t w) {
         h ^= w + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
     };
-    for (uint64_t w : _bits)
-        mix(w);
-    for (uint64_t w : _xmask)
-        mix(w ^ 0x5555555555555555ull);
+    size_t n = nwords(_width);
+    for (size_t i = 0; i < n; ++i)
+        mix(_w[i]);
+    for (size_t i = 0; i < n; ++i)
+        mix(_w[n + i] ^ 0x5555555555555555ull);
     return h;
 }
 

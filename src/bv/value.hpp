@@ -14,6 +14,10 @@
  *
  * Values are canonical: data bits above the width and under the X mask
  * are always zero, so structural equality is word-wise comparison.
+ *
+ * Every operator is a thin allocating wrapper over its in-place
+ * ScalarOps kernel (bv/kernels.hpp), the one implementation the
+ * simulation tape also runs.
  */
 #ifndef RTLREPAIR_BV_VALUE_HPP
 #define RTLREPAIR_BV_VALUE_HPP
@@ -23,6 +27,7 @@
 #include <string_view>
 #include <vector>
 
+#include "bv/kernels.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 
@@ -40,8 +45,6 @@ class Value
     static Value ones(uint32_t width);
     static Value allX(uint32_t width);
     static Value fromUint(uint32_t width, uint64_t value);
-    /** Build from raw little-endian words (excess bits are masked). */
-    static Value fromWords(uint32_t width, std::vector<uint64_t> words);
     /** Uniformly random fully-known value. */
     static Value random(uint32_t width, Rng &rng);
     /**
@@ -74,9 +77,9 @@ class Value
         check(i < _width, "bit index out of range");
         size_t word = i / 64u;
         uint64_t mask = 1ull << (i % 64u);
-        if (_xmask[word] & mask)
+        if (xmaskWord(word) & mask)
             return -1;
-        return (_bits[word] & mask) ? 1 : 0;
+        return (_w[word] & mask) ? 1 : 0;
     }
 
     /** Set bit @p i to 0, 1, or -1 (X). */
@@ -86,25 +89,24 @@ class Value
         check(i < _width, "bit index out of range");
         size_t word = i / 64u;
         uint64_t mask = 1ull << (i % 64u);
-        _bits[word] &= ~mask;
-        _xmask[word] &= ~mask;
+        _w[word] &= ~mask;
+        xplane()[word] &= ~mask;
         if (v < 0)
-            _xmask[word] |= mask;
+            xplane()[word] |= mask;
         else if (v == 1)
-            _bits[word] |= mask;
+            _w[word] |= mask;
     }
 
     /** @name Raw plane access (for bit-parallel transposes) @{ */
     /** Word @p i of the data plane (little-endian 64-bit words). */
-    uint64_t bitsWord(size_t i) const { return _bits[i]; }
+    uint64_t bitsWord(size_t i) const { return _w[i]; }
     /** Word @p i of the X plane; set bits are unknown. */
-    uint64_t xmaskWord(size_t i) const { return _xmask[i]; }
-    /**
-     * Build from raw planes: @p bits / @p xmask are little-endian
-     * words, excess bits are masked and data bits under X cleared.
-     */
-    static Value fromPlanes(uint32_t width, std::vector<uint64_t> bits,
-                            std::vector<uint64_t> xmask);
+    uint64_t xmaskWord(size_t i) const { return _w[nwords(_width) + i]; }
+    /** The storage span in ScalarOps layout (bv/kernels.hpp): data
+     *  plane then X plane, nwords(width()) words each. */
+    const uint64_t *span() const { return _w.data(); }
+    /** Copy a canonical ScalarOps-layout span. */
+    static Value fromSpan(uint32_t width, const uint64_t *span);
     /** @} */
 
     /** Binary digits, MSB first, with @c x for unknown bits. */
@@ -193,21 +195,17 @@ class Value
     size_t hash() const;
 
   private:
-    Value(uint32_t width, size_t nwords)
-        : _width(width), _bits(nwords, 0), _xmask(nwords, 0)
-    {}
+    /** All-zero value of @p width (checked against the width cap). */
+    explicit Value(uint32_t width);
 
-    static size_t nwords(uint32_t width) { return (width + 63u) / 64u; }
+    uint64_t *data() { return _w.data(); }
+    uint64_t *xplane() { return _w.data() + nwords(_width); }
     /** Mask the top word and clear data bits under the X mask. */
     void normalize();
-    /** Unsigned comparison of known values: -1, 0, +1. */
-    static int compareKnown(const Value &a, const Value &b);
-    /** MSB as 0/1; requires fully known. */
-    int signBit() const { return bit(_width - 1) == 1 ? 1 : 0; }
 
     uint32_t _width;
-    std::vector<uint64_t> _bits;
-    std::vector<uint64_t> _xmask;
+    /** Data plane then X plane, nwords(_width) words each. */
+    std::vector<uint64_t> _w;
 };
 
 } // namespace rtlrepair::bv

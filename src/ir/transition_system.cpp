@@ -68,6 +68,42 @@ nodeKindName(NodeKind kind)
     return "?";
 }
 
+bv::Value
+evalOp(const Node &node, const bv::Value *arg0, const bv::Value *arg1,
+       const bv::Value *arg2)
+{
+    switch (node.kind) {
+      case NodeKind::Not: return ~*arg0;
+      case NodeKind::Neg: return arg0->negate();
+      case NodeKind::RedAnd: return arg0->redAnd();
+      case NodeKind::RedOr: return arg0->redOr();
+      case NodeKind::RedXor: return arg0->redXor();
+      case NodeKind::And: return *arg0 & *arg1;
+      case NodeKind::Or: return *arg0 | *arg1;
+      case NodeKind::Xor: return *arg0 ^ *arg1;
+      case NodeKind::Add: return *arg0 + *arg1;
+      case NodeKind::Sub: return *arg0 - *arg1;
+      case NodeKind::Mul: return *arg0 * *arg1;
+      case NodeKind::UDiv: return arg0->udiv(*arg1);
+      case NodeKind::URem: return arg0->urem(*arg1);
+      case NodeKind::Shl: return arg0->shl(*arg1);
+      case NodeKind::LShr: return arg0->lshr(*arg1);
+      case NodeKind::AShr: return arg0->ashr(*arg1);
+      case NodeKind::Eq: return arg0->eq(*arg1);
+      case NodeKind::Ult: return arg0->ult(*arg1);
+      case NodeKind::Ule: return arg0->ule(*arg1);
+      case NodeKind::Slt: return arg0->slt(*arg1);
+      case NodeKind::Sle: return arg0->sle(*arg1);
+      case NodeKind::Concat: return arg0->concat(*arg1);
+      case NodeKind::Slice: return arg0->slice(node.a, node.b);
+      case NodeKind::Ite: return bv::Value::ite(*arg0, *arg1, *arg2);
+      case NodeKind::ZExt: return arg0->zext(node.width);
+      case NodeKind::SExt: return arg0->sext(node.width);
+      default:
+        panic("evalOp called on a leaf node");
+    }
+}
+
 int
 TransitionSystem::inputIndex(const std::string &target) const
 {

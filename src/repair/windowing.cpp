@@ -42,6 +42,11 @@ telemetry::Counter s_slack_us("window.deadline_slack_us",
 // (no solve, no encode): a core free of the window anchor proves
 // every larger window UNSAT.
 telemetry::Counter s_fastforward("window.core_fastforward");
+// Concrete replay work: live lanes x evaluated cycles, summed over
+// ConcreteRunner::run, runBatch and the all-off prefix simulation.
+// Unstable: templates the portfolio later cancels replay candidates
+// the jobs=1 cascade never reaches.
+telemetry::Counter s_lane_cycles("sim.lane_cycles", MetricKind::Unstable);
 
 } // namespace
 
@@ -113,11 +118,9 @@ ConcreteRunner::ConcreteRunner(const ir::TransitionSystem &sys,
                                const trace::IoTrace &resolved,
                                std::vector<Value> init)
     : _sys(sys), _io(resolved), _init(std::move(init)),
-      _packable(std::all_of(
-          sys.nodes.begin(), sys.nodes.end(),
-          [](const ir::Node &n) { return n.width <= 64; })),
-      _interp(sys, sim::SimOptions{sim::XPolicy::Keep,
-                                   sim::XPolicy::Keep, 1})
+      _tape(std::make_shared<const sim::Tape>(sys)),
+      _interp(_tape, sim::SimOptions{sim::XPolicy::Keep,
+                                     sim::XPolicy::Keep, 1})
 {
     check(_init.size() == sys.states.size(), "init size mismatch");
     // A trace column that names no design port is malformed user
@@ -175,19 +178,20 @@ ConcreteRunner::run(const SynthAssignment &assignment)
         applyInputs(cycle);
         _interp.evalCycle();
         for (size_t i = 0; i < _output_map.size(); ++i) {
-            const Value &expected = _io.output_rows[cycle][i];
-            const Value &got = _interp.output(
-                static_cast<size_t>(_output_map[i]));
-            if (!got.matches(expected)) {
+            if (!_interp.outputMatches(
+                    static_cast<size_t>(_output_map[i]),
+                    _io.output_rows[cycle][i])) {
                 result.passed = false;
                 result.first_failure = cycle;
                 result.failed_output = _io.outputs[i].name;
+                s_lane_cycles.add(cycle + 1);
                 return result;
             }
         }
         _interp.step();
     }
     result.first_failure = _io.length();
+    s_lane_cycles.add(_io.length());
     return result;
 }
 
@@ -196,7 +200,7 @@ ConcreteRunner::runBatch(const std::vector<SynthAssignment> &assignments)
 {
     telemetry::Span span("sim.replay");
     std::vector<sim::ReplayResult> out(assignments.size());
-    if (assignments.size() <= 1 || !_packable) {
+    if (assignments.size() <= 1 || !_tape->packable()) {
         for (size_t i = 0; i < assignments.size(); ++i)
             out[i] = run(assignments[i]);
         return out;
@@ -206,7 +210,7 @@ ConcreteRunner::runBatch(const std::vector<SynthAssignment> &assignments)
          base += PackedValue::kLanes) {
         uint32_t n = static_cast<uint32_t>(std::min<size_t>(
             PackedValue::kLanes, assignments.size() - base));
-        sim::VecInterpreter vi(_sys, n);
+        sim::VecInterpreter vi(_tape, n);
         for (uint32_t l = 0; l < n; ++l) {
             const SynthAssignment &a = assignments[base + l];
             for (size_t i = 0; i < _sys.synth_vars.size(); ++i) {
@@ -220,6 +224,7 @@ ConcreteRunner::runBatch(const std::vector<SynthAssignment> &assignments)
         for (size_t i = 0; i < _init.size(); ++i)
             vi.setStateAll(i, _init[i]);
         uint64_t still = vi.allLanes();
+        uint64_t lane_cycles = 0;
         for (size_t cycle = 0; cycle < _io.length() && still;
              ++cycle) {
             for (size_t i = 0; i < _input_map.size(); ++i) {
@@ -227,12 +232,12 @@ ConcreteRunner::runBatch(const std::vector<SynthAssignment> &assignments)
                                _io.input_rows[cycle][i]);
             }
             vi.evalCycle();
+            lane_cycles += static_cast<uint64_t>(__builtin_popcountll(still));
             for (size_t i = 0; i < _output_map.size() && still; ++i) {
-                const PackedValue &got = vi.output(
-                    static_cast<size_t>(_output_map[i]));
                 uint64_t mismatch =
-                    still & ~got.laneMatches(PackedValue::broadcast(
-                                _io.output_rows[cycle][i]));
+                    still & ~vi.outputMatches(
+                                static_cast<size_t>(_output_map[i]),
+                                _io.output_rows[cycle][i]);
                 if (!mismatch)
                     continue;
                 for (uint32_t l = 0; l < n; ++l) {
@@ -250,6 +255,7 @@ ConcreteRunner::runBatch(const std::vector<SynthAssignment> &assignments)
             if ((still >> l) & 1)
                 out[base + l].first_failure = _io.length();
         }
+        s_lane_cycles.add(lane_cycles);
     }
     return out;
 }
@@ -301,6 +307,7 @@ ConcreteRunner::statesFrom(size_t snapshot_cycle,
         applyInputs(c);
         _interp.step();
     }
+    s_lane_cycles.add(cycle - snapshot_cycle);
     std::vector<Value> out = currentStates();
     _snapshots.emplace(cycle, out);
     return out;

@@ -201,10 +201,11 @@ class ConcreteRunner
     const ir::TransitionSystem &_sys;
     const trace::IoTrace &_io;
     std::vector<bv::Value> _init;
-    /** Widest net is at most 64 bits: the packed interpreter pays one
-     *  word per bit position, so wider datapaths (sha3-class) lose
-     *  the 64-lane sharing win and stay on the scalar path. */
-    bool _packable;
+    /** Compiled once; the scalar run and every 64-lane chunk share it.
+     *  Only a packable tape (widest net at most 64 bits) batches: the
+     *  packed layout pays one word per bit position, so wider
+     *  datapaths (sha3-class) lose the 64-lane sharing win. */
+    std::shared_ptr<const sim::Tape> _tape;
     sim::Interpreter _interp;
     std::vector<int> _input_map;   ///< trace col -> input index
     std::vector<int> _output_map;  ///< trace col -> output index

@@ -1,84 +1,35 @@
 #include "sim/interpreter.hpp"
 
-#include "bv/packed_value.hpp"
+#include <algorithm>
+
+#include "bv/kernels.hpp"
 #include "util/logging.hpp"
 #include "util/strings.hpp"
 
 namespace rtlrepair::sim {
 
+using bv::ScalarOps;
 using bv::Value;
-using ir::Node;
-using ir::NodeKind;
 using ir::NodeRef;
-
-template <typename V>
-NodeLoop<V>::NodeLoop(const ir::TransitionSystem &sys,
-                      std::vector<V> consts)
-    : _sys(sys), _consts(std::move(consts)),
-      _node_vals(sys.nodes.size()), _state_vals(sys.states.size())
-{
-    _input_vals.reserve(sys.inputs.size());
-    for (const auto &in : sys.inputs)
-        _input_vals.push_back(V::allX(in.width));
-    _synth_vals.reserve(sys.synth_vars.size());
-    for (const auto &var : sys.synth_vars)
-        _synth_vals.push_back(V::zeros(var.width));
-}
-
-template <typename V>
-void
-NodeLoop<V>::evalCycle()
-{
-    for (NodeRef ref = 0; ref < _sys.nodes.size(); ++ref) {
-        const Node &n = _sys.nodes[ref];
-        switch (n.kind) {
-          case NodeKind::Const:
-            _node_vals[ref] = _consts[n.index];
-            break;
-          case NodeKind::Input:
-            _node_vals[ref] = _input_vals[n.index];
-            break;
-          case NodeKind::SynthVar:
-            _node_vals[ref] = _synth_vals[n.index];
-            break;
-          case NodeKind::State:
-            _node_vals[ref] = _state_vals[n.index];
-            break;
-          default: {
-            const V *a0 = &_node_vals[n.args[0]];
-            const V *a1 = n.args[1] != ir::kNullRef
-                              ? &_node_vals[n.args[1]]
-                              : nullptr;
-            const V *a2 = n.args[2] != ir::kNullRef
-                              ? &_node_vals[n.args[2]]
-                              : nullptr;
-            _node_vals[ref] = ir::evalOp(n, a0, a1, a2);
-            break;
-          }
-        }
-    }
-    _cycle_valid = true;
-}
-
-template <typename V>
-void
-NodeLoop<V>::step()
-{
-    if (!_cycle_valid)
-        evalCycle();
-    for (size_t i = 0; i < _sys.states.size(); ++i)
-        _state_vals[i] = _node_vals[_sys.states[i].next];
-    _cycle_valid = false;
-}
-
-template class NodeLoop<Value>;
-template class NodeLoop<bv::PackedValue>;
 
 Interpreter::Interpreter(const ir::TransitionSystem &sys,
                          SimOptions options)
-    : NodeLoop(sys, sys.consts), _options(options), _rng(options.seed)
+    : Interpreter(std::make_shared<const Tape>(sys), options)
+{}
+
+Interpreter::Interpreter(std::shared_ptr<const Tape> tape,
+                         SimOptions options)
+    : TapeRun(std::move(tape), Layout::Scalar), _options(options),
+      _rng(options.seed)
 {
     reset();
+}
+
+void
+Interpreter::store(uint64_t *slot, const Value &value)
+{
+    std::copy(value.span(),
+              value.span() + ScalarOps::spanWords(value.width()), slot);
 }
 
 void
@@ -86,38 +37,43 @@ Interpreter::reset()
 {
     for (size_t i = 0; i < _sys.states.size(); ++i) {
         const auto &st = _sys.states[i];
-        Value v = st.init ? *st.init : Value::allX(st.width);
-        _state_vals[i] = applyPolicy(v, _options.init_policy);
+        uint64_t *s = slot(_tape->stateSlot(Layout::Scalar, i));
+        store(s, st.init ? *st.init : Value::allX(st.width));
+        applyPolicy(s, st.width, _options.init_policy);
     }
     _cycle_valid = false;
 }
 
-Value
-Interpreter::applyPolicy(const Value &v, XPolicy policy)
+void
+Interpreter::applyPolicy(uint64_t *s, uint32_t width, XPolicy policy)
 {
-    if (!v.hasX())
-        return v;
-    switch (policy) {
-      case XPolicy::Keep: return v;
-      case XPolicy::Zero: return v.xToZero();
-      case XPolicy::Random: return v.xToRandom(_rng);
+    size_t n = bv::nwords(width);
+    uint64_t *x = s + n;
+    if (policy == XPolicy::Keep ||
+        std::all_of(x, x + n, [](uint64_t w) { return w == 0; }))
+        return;
+    // Random draws one word per plane word, exactly as
+    // Value::xToRandom: the draw order pins golden digests.
+    for (size_t i = 0; i < n; ++i) {
+        if (policy == XPolicy::Random)
+            s[i] |= _rng.next() & x[i];
+        x[i] = 0;
     }
-    return v;
 }
 
 void
 Interpreter::setInput(size_t index, const Value &value)
 {
-    check(index < _input_vals.size(), "input index out of range");
+    check(index < _sys.inputs.size(), "input index out of range");
     // Tolerate width mismatches (bugs can change port widths):
     // zero-extend or truncate like a Verilog connection would.
-    Value v = value;
     uint32_t want = _sys.inputs[index].width;
-    if (v.width() < want)
-        v = v.zext(want);
-    else if (v.width() > want)
-        v = v.slice(want - 1, 0);
-    _input_vals[index] = applyPolicy(v, _options.input_policy);
+    uint64_t *s = slot(_tape->inputSlot(Layout::Scalar, index));
+    if (value.width() <= want)
+        ScalarOps::zext(s, value.span(), value.width(), want);
+    else
+        ScalarOps::slice(s, value.span(), value.width(), want - 1, 0);
+    applyPolicy(s, want, _options.input_policy);
     _cycle_valid = false;
 }
 
@@ -132,10 +88,10 @@ Interpreter::setInputByName(const std::string &name, const Value &value)
 void
 Interpreter::setSynthVar(size_t index, const Value &value)
 {
-    check(index < _synth_vals.size(), "synth var index out of range");
+    check(index < _sys.synth_vars.size(), "synth var index out of range");
     check(value.width() == _sys.synth_vars[index].width,
           "synth var width mismatch");
-    _synth_vals[index] = value;
+    store(slot(_tape->synthSlot(Layout::Scalar, index)), value);
     _cycle_valid = false;
 }
 
@@ -151,32 +107,45 @@ Interpreter::setSynthVarByName(const std::string &name,
 void
 Interpreter::setState(size_t index, const Value &value)
 {
-    check(index < _state_vals.size(), "state index out of range");
+    check(index < _sys.states.size(), "state index out of range");
     check(value.width() == _sys.states[index].width,
           "state width mismatch");
-    _state_vals[index] = value;
+    store(slot(_tape->stateSlot(Layout::Scalar, index)), value);
     _cycle_valid = false;
 }
 
-const Value &
+Value
 Interpreter::valueOf(NodeRef ref) const
 {
     check(_cycle_valid, "evalCycle() must run before reading values");
-    return _node_vals[ref];
+    return Value::fromSpan(_sys.width(ref),
+                           slot(_tape->nodeSlot(Layout::Scalar, ref)));
 }
 
-const Value &
+Value
 Interpreter::output(size_t index) const
 {
     check(index < _sys.outputs.size(), "output index out of range");
     return valueOf(_sys.outputs[index].ref);
 }
 
-const Value &
+Value
 Interpreter::stateValue(size_t index) const
 {
-    check(index < _state_vals.size(), "state index out of range");
-    return _state_vals[index];
+    check(index < _sys.states.size(), "state index out of range");
+    return Value::fromSpan(_sys.states[index].width,
+                           slot(_tape->stateSlot(Layout::Scalar, index)));
+}
+
+bool
+Interpreter::outputMatches(size_t index, const Value &expected) const
+{
+    check(_cycle_valid, "evalCycle() must run before reading values");
+    check(index < _sys.outputs.size(), "output index out of range");
+    NodeRef ref = _sys.outputs[index].ref;
+    return ScalarOps::matches(slot(_tape->nodeSlot(Layout::Scalar, ref)),
+                              _sys.width(ref), expected.span(),
+                              expected.width());
 }
 
 ReplayResult
@@ -208,10 +177,9 @@ replay(Interpreter &interp, const trace::IoTrace &io)
         }
         interp.evalCycle();
         for (size_t i = 0; i < output_map.size(); ++i) {
-            const Value &expected = io.output_rows[cycle][i];
-            const Value &got =
-                interp.output(static_cast<size_t>(output_map[i]));
-            if (!got.matches(expected)) {
+            if (!interp.outputMatches(
+                    static_cast<size_t>(output_map[i]),
+                    io.output_rows[cycle][i])) {
                 result.passed = false;
                 result.first_failure = cycle;
                 result.failed_output = io.outputs[i].name;

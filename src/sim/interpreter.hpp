@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "ir/transition_system.hpp"
+#include "sim/tape.hpp"
 #include "trace/io_trace.hpp"
 #include "util/rng.hpp"
 
@@ -34,41 +35,20 @@ struct SimOptions
 };
 
 /**
- * Per-cycle value tables of one TransitionSystem and the node loop
- * over them: one forward sweep loads each leaf from its table and
- * evaluates each operator through ir::evalOp.  @p V is bv::Value for
- * Interpreter and bv::PackedValue (64 lanes) for VecInterpreter; both
- * run this one loop.
+ * Executes one TransitionSystem cycle by cycle on the scalar layout
+ * of its tape (sim/tape.hpp), at any width.  Setting inputs,
+ * evaluating, comparing outputs and stepping allocate nothing; the
+ * value accessors materialize a bv::Value and are meant for off-hot-
+ * path use (recording, OSDD, snapshots, tests).
  */
-template <typename V>
-class NodeLoop
+class Interpreter : public TapeRun
 {
   public:
-    /** Evaluate all combinational values for the current cycle. */
-    void evalCycle();
-
-    /** evalCycle() then latch every state's next value. */
-    void step();
-
-  protected:
-    /** Inputs start all-X, synthesis variables zero; @p consts holds
-     *  one value per entry of sys.consts. */
-    NodeLoop(const ir::TransitionSystem &sys, std::vector<V> consts);
-
-    const ir::TransitionSystem &_sys;
-    std::vector<V> _consts;
-    std::vector<V> _node_vals;   ///< per-cycle node values
-    std::vector<V> _state_vals;  ///< current state values
-    std::vector<V> _input_vals;
-    std::vector<V> _synth_vals;
-    bool _cycle_valid = false;
-};
-
-/** Executes one TransitionSystem cycle by cycle. */
-class Interpreter : public NodeLoop<bv::Value>
-{
-  public:
+    /** Compiles a private tape for @p sys (O(nodes)). */
     explicit Interpreter(const ir::TransitionSystem &sys,
+                         SimOptions options = {});
+    /** Runs on a tape compiled (and possibly shared) elsewhere. */
+    explicit Interpreter(std::shared_ptr<const Tape> tape,
                          SimOptions options = {});
 
     /** Reset all states to their init value (or the X policy). */
@@ -88,15 +68,19 @@ class Interpreter : public NodeLoop<bv::Value>
     void setState(size_t index, const bv::Value &value);
 
     /** @name Value access (valid after evalCycle/step) @{ */
-    const bv::Value &valueOf(ir::NodeRef ref) const;
-    const bv::Value &output(size_t index) const;
-    const bv::Value &stateValue(size_t index) const;
+    bv::Value valueOf(ir::NodeRef ref) const;
+    bv::Value output(size_t index) const;
+    bv::Value stateValue(size_t index) const;
     /** @} */
 
-    const ir::TransitionSystem &system() const { return _sys; }
+    /** output(index).matches(expected), in place (after evalCycle). */
+    bool outputMatches(size_t index, const bv::Value &expected) const;
 
   private:
-    bv::Value applyPolicy(const bv::Value &v, XPolicy policy);
+    /** Resolve the X bits of a @p width-bit slot by @p policy. */
+    void applyPolicy(uint64_t *slot, uint32_t width, XPolicy policy);
+    /** Copy @p value (of the slot's width) into a slot. */
+    static void store(uint64_t *slot, const bv::Value &value);
 
     SimOptions _options;
     Rng _rng;

@@ -1,30 +1,24 @@
 #include "sim/vec_sim.hpp"
 
+#include <algorithm>
+
+#include "bv/kernels.hpp"
 #include "util/logging.hpp"
 
 namespace rtlrepair::sim {
 
+using bv::PackedOps;
 using bv::PackedValue;
 using bv::Value;
 
-namespace {
-
-/** Every constant of @p sys broadcast to all lanes, once per run. */
-std::vector<PackedValue>
-broadcastConsts(const ir::TransitionSystem &sys)
-{
-    std::vector<PackedValue> out;
-    out.reserve(sys.consts.size());
-    for (const Value &c : sys.consts)
-        out.push_back(PackedValue::broadcast(c));
-    return out;
-}
-
-} // namespace
-
 VecInterpreter::VecInterpreter(const ir::TransitionSystem &sys,
                                uint32_t nlanes)
-    : NodeLoop(sys, broadcastConsts(sys)), _nlanes(nlanes)
+    : VecInterpreter(std::make_shared<const Tape>(sys), nlanes)
+{}
+
+VecInterpreter::VecInterpreter(std::shared_ptr<const Tape> tape,
+                               uint32_t nlanes)
+    : TapeRun(std::move(tape), Layout::Packed), _nlanes(nlanes)
 {
     check(nlanes >= 1 && nlanes <= PackedValue::kLanes,
           "lane count out of range");
@@ -37,9 +31,13 @@ VecInterpreter::reset()
 {
     for (size_t i = 0; i < _sys.states.size(); ++i) {
         const auto &st = _sys.states[i];
-        _state_vals[i] = st.init
-                             ? PackedValue::broadcast(*st.init)
-                             : PackedValue::allX(st.width);
+        uint64_t *s = slot(_tape->stateSlot(Layout::Packed, i));
+        if (st.init) {
+            PackedOps::broadcast(s, st.width, st.init->span(), st.width);
+        } else {
+            std::fill(s, s + st.width, 0ull);
+            std::fill(s + st.width, s + 2 * st.width, ~0ull);
+        }
     }
     _cycle_valid = false;
 }
@@ -47,14 +45,11 @@ VecInterpreter::reset()
 void
 VecInterpreter::setInputAll(size_t index, const Value &value)
 {
-    check(index < _input_vals.size(), "input index out of range");
-    Value v = value;
-    uint32_t want = _sys.inputs[index].width;
-    if (v.width() < want)
-        v = v.zext(want);
-    else if (v.width() > want)
-        v = v.slice(want - 1, 0);
-    _input_vals[index] = PackedValue::broadcast(v);
+    check(index < _sys.inputs.size(), "input index out of range");
+    // Zero-extends or truncates to the port width on the way in.
+    PackedOps::broadcast(slot(_tape->inputSlot(Layout::Packed, index)),
+                         _sys.inputs[index].width, value.span(),
+                         value.width());
     _cycle_valid = false;
 }
 
@@ -62,29 +57,45 @@ void
 VecInterpreter::setSynthVar(size_t index, uint32_t lane,
                             const Value &value)
 {
-    check(index < _synth_vals.size(), "synth var index out of range");
+    check(index < _sys.synth_vars.size(), "synth var index out of range");
+    check(lane < PackedValue::kLanes, "lane index out of range");
     check(value.width() == _sys.synth_vars[index].width,
           "synth var width mismatch");
-    _synth_vals[index].setLane(lane, value);
+    PackedOps::setLane(slot(_tape->synthSlot(Layout::Packed, index)),
+                       value.width(), lane, value.span());
     _cycle_valid = false;
 }
 
 void
 VecInterpreter::setStateAll(size_t index, const Value &value)
 {
-    check(index < _state_vals.size(), "state index out of range");
+    check(index < _sys.states.size(), "state index out of range");
     check(value.width() == _sys.states[index].width,
           "state width mismatch");
-    _state_vals[index] = PackedValue::broadcast(value);
+    PackedOps::broadcast(slot(_tape->stateSlot(Layout::Packed, index)),
+                         value.width(), value.span(), value.width());
     _cycle_valid = false;
 }
 
-const PackedValue &
+PackedValue
 VecInterpreter::output(size_t index) const
 {
     check(_cycle_valid, "evalCycle() must run before reading values");
     check(index < _sys.outputs.size(), "output index out of range");
-    return _node_vals[_sys.outputs[index].ref];
+    ir::NodeRef ref = _sys.outputs[index].ref;
+    return PackedValue::fromSpan(
+        _sys.width(ref), slot(_tape->nodeSlot(Layout::Packed, ref)));
+}
+
+uint64_t
+VecInterpreter::outputMatches(size_t index, const Value &expected) const
+{
+    check(_cycle_valid, "evalCycle() must run before reading values");
+    check(index < _sys.outputs.size(), "output index out of range");
+    ir::NodeRef ref = _sys.outputs[index].ref;
+    return PackedOps::laneMatchesScalar(
+        slot(_tape->nodeSlot(Layout::Packed, ref)), _sys.width(ref),
+        expected.span(), expected.width());
 }
 
 } // namespace rtlrepair::sim

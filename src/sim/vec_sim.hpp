@@ -3,10 +3,11 @@
  * Bit-parallel 64-lane transition-system interpreter.
  *
  * VecInterpreter runs 64 independent runs of one transition system in
- * one pass over bv::PackedValue planes (bit L of each word = lane L).
- * It shares its node loop (sim::NodeLoop<V>) and op switch
- * (ir::evalOp<V>) with the one-run Interpreter; ConcreteRunner uses
- * it to validate up to 64 candidate repairs at once.
+ * one pass over the packed layout of its tape (sim/tape.hpp; bit L of
+ * each word = lane L), on the same op list the one-run Interpreter
+ * runs in the scalar layout.  ConcreteRunner uses it to validate up
+ * to 64 candidate repairs at once, sharing one tape between its
+ * scalar run and every 64-lane chunk.
  *
  * The event-level 64-lane simulator is the bv::PackedValue
  * instantiation of the one event simulator template
@@ -26,12 +27,15 @@
 
 namespace rtlrepair::sim {
 
-/** Packed-plane interpreter: 64 transition-system runs at once. */
-class VecInterpreter : public NodeLoop<bv::PackedValue>
+/**
+ * Packed-plane interpreter: 64 transition-system runs at once.  The
+ * design's nets must all be at most 64 bits wide (Tape::packable).
+ */
+class VecInterpreter : public TapeRun
 {
   public:
-    explicit VecInterpreter(const ir::TransitionSystem &sys,
-                            uint32_t nlanes);
+    VecInterpreter(const ir::TransitionSystem &sys, uint32_t nlanes);
+    VecInterpreter(std::shared_ptr<const Tape> tape, uint32_t nlanes);
 
     /** Reset all states to init (X kept, as SimOptions{Keep}). */
     void reset();
@@ -44,7 +48,11 @@ class VecInterpreter : public NodeLoop<bv::PackedValue>
     /** Same state seed in every lane. */
     void setStateAll(size_t index, const bv::Value &value);
 
-    const bv::PackedValue &output(size_t index) const;
+    bv::PackedValue output(size_t index) const;
+    /** Lanes whose output @p index matches @p expected (laneMatches
+     *  against the broadcast value), in place. */
+    uint64_t outputMatches(size_t index, const bv::Value &expected) const;
+
     uint32_t lanes() const { return _nlanes; }
     uint64_t allLanes() const { return _all; }
 

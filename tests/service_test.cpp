@@ -71,6 +71,31 @@ const char *kGoodTrace =
     "b1,b0\n"
     "b1,b1\n";
 
+// ... and one whose repair is solver-bound: replacing the two
+// literals means factoring a 64-bit semiprime (3244611641 *
+// 2821154957), which keeps the SAT search busy far longer than any
+// test waits.  Tests submit it to hold the only worker while the
+// daemon reacts to something else, then cancel it explicitly.
+const char *kSolverBound = R"(
+module f (input clk, input rst, output reg [63:0] q);
+    wire [31:0] x = 32'd3;
+    wire [31:0] y = 32'd5;
+    always @(posedge clk) begin
+        if (rst) q <= 64'd0;
+        else q <= x * y;
+    end
+endmodule
+)";
+
+std::string
+solverBoundTrace()
+{
+    const char *semiprime =
+        "0111111100000111111100110011110111010101000100010011111101100101";
+    return "in:rst,out:q\nb1,b" + std::string(64, 'x') + "\nb0,b" +
+           std::string(64, '0') + "\nb0,b" + semiprime + "\n";
+}
+
 /** Raw NDJSON protocol client for driving the server directly. */
 struct RawClient
 {
@@ -162,6 +187,56 @@ submitFor(const std::string &id, const char *design,
     req.trace = trace;
     req.timeout_seconds = 30.0;
     return submitLine(req);
+}
+
+/** Submit the solver-bound job with the server's longest timeout:
+ *  it holds a worker until cancelled. */
+std::string
+submitBlocker(const std::string &id, const std::string &tenant = "")
+{
+    JobRequest req;
+    req.id = id;
+    req.tenant = tenant;
+    req.design = kSolverBound;
+    req.trace = solverBoundTrace();
+    req.timeout_seconds = ServerConfig{}.max_job_seconds;
+    return submitLine(req);
+}
+
+std::string
+cancelLine(const std::string &id)
+{
+    Json msg = Json::object();
+    msg.set("v", Json::number(kProtocolVersion));
+    msg.set("type", Json::string("cancel"));
+    msg.set("id", Json::string(id));
+    return msg.dump() + "\n";
+}
+
+/** Poll stats until no admitted job waits in the queue (every one
+ *  has reached a worker). */
+void
+awaitQueueDrained(RawClient &client)
+{
+    for (int tries = 0; tries < 300; ++tries) {
+        ASSERT_TRUE(client.sendMsg("stats"));
+        Json stats = client.await("stats");
+        ASSERT_TRUE(stats.isObject());
+        if (stats.num("queued", -1) == 0)
+            return;
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    FAIL() << "queue never drained";
+}
+
+/** Cancel the blocker @p id and check it ends as cancelled. */
+void
+cancelBlocker(RawClient &client, const std::string &id)
+{
+    ASSERT_TRUE(client.sendRaw(cancelLine(id)));
+    Json result = client.await("result", id);
+    ASSERT_TRUE(result.isObject()) << id;
+    EXPECT_EQ(result.str("status"), "cancelled") << id;
 }
 
 /**
@@ -425,11 +500,12 @@ TEST(Service, OverloadAndTenantCapRejectExplicitly)
     RawClient client(fx.socket_path);
     ASSERT_TRUE(client.ok());
 
-    // Burst 8 submissions in one write: the single worker cannot
-    // drain a depth-1 queue that fast, so the tail must be rejected
-    // with an explicit verdict — never queued unboundedly.
-    std::string burst;
-    for (int i = 0; i < 8; ++i)
+    // Burst 8 submissions in one write: the solver-bound first job
+    // holds the single worker, so the depth-1 queue fills and the
+    // tail must be rejected with an explicit verdict — never queued
+    // unboundedly.
+    std::string burst = submitBlocker("burst-0", "tenant-0");
+    for (int i = 1; i < 8; ++i)
         burst += submitFor("burst-" + std::to_string(i),
                            kBuggyCounter, kCounterTrace,
                            "tenant-" + std::to_string(i));
@@ -469,36 +545,41 @@ TEST(Service, OverloadAndTenantCapRejectExplicitly)
             ++overloaded;
         }
     }
-    EXPECT_GE(accepted, 1);
+    ASSERT_GE(accepted, 1);
+    EXPECT_EQ(accepted_ids.front(), "burst-0");
     EXPECT_GE(overloaded, 1) << "burst never hit admission control";
 
-    // Everything admitted still completes.
-    for (const auto &id : accepted_ids) {
-        Json result = client.await("result", id);
-        ASSERT_TRUE(result.isObject()) << id;
+    // Everything admitted still completes once the blocker is
+    // cancelled.
+    cancelBlocker(client, "burst-0");
+    for (size_t i = 1; i < accepted_ids.size(); ++i) {
+        Json result = client.await("result", accepted_ids[i]);
+        ASSERT_TRUE(result.isObject()) << accepted_ids[i];
         EXPECT_EQ(result.str("status"), "repaired");
     }
 
     // Tenant cap: one running job per tenant; the second submission
     // from the same tenant is rejected as tenant-busy even though
     // the queue has room.
-    ASSERT_TRUE(client.sendRaw(
-        submitFor("tb-1", kBuggyCounter, kCounterTrace, "team") +
-        submitFor("tb-2", kBuggyCounter, kCounterTrace, "team")));
+    ASSERT_TRUE(client.sendRaw(submitBlocker("tb-1", "team")));
     Json first = client.await("accepted", "tb-1");
     ASSERT_TRUE(first.isObject());
+    awaitQueueDrained(client);
+    ASSERT_TRUE(client.sendRaw(
+        submitFor("tb-2", kBuggyCounter, kCounterTrace, "team")));
     Json second = client.await("rejected", "tb-2");
     ASSERT_TRUE(second.isObject());
     EXPECT_EQ(second.str("reason"), "tenant-busy");
-    EXPECT_TRUE(client.await("result", "tb-1").isObject());
+    cancelBlocker(client, "tb-1");
 
     // Duplicate ids are refused while the original is in flight.
-    ASSERT_TRUE(client.sendRaw(
-        submitFor("dup", kBuggyCounter, kCounterTrace) +
-        submitFor("dup", kBuggyCounter, kCounterTrace)));
+    ASSERT_TRUE(client.sendRaw(submitBlocker("dup") +
+                               submitFor("dup", kBuggyCounter,
+                                         kCounterTrace)));
     Json dup = client.await("rejected", "dup");
     ASSERT_TRUE(dup.isObject());
     EXPECT_EQ(dup.str("reason"), "duplicate");
+    cancelBlocker(client, "dup");
 }
 
 TEST(Service, CancelWhileQueuedReportsCancelled)
@@ -510,29 +591,31 @@ TEST(Service, CancelWhileQueuedReportsCancelled)
     RawClient client(fx.socket_path);
     ASSERT_TRUE(client.ok());
 
-    // One burst: job A occupies the only worker, job B queues behind
-    // it, and the cancel lands while B is still queued.
-    Json cancel_msg = Json::object();
-    cancel_msg.set("v", Json::number(kProtocolVersion));
-    cancel_msg.set("type", Json::string("cancel"));
-    cancel_msg.set("id", Json::string("cq-b"));
+    // One burst: the solver-bound job A occupies the only worker,
+    // job B queues behind it, and the cancel lands while B is still
+    // queued.
     ASSERT_TRUE(client.sendRaw(
-        submitFor("cq-a", kBuggyCounter, kCounterTrace) +
+        submitBlocker("cq-a") +
         submitFor("cq-b", kBuggyCounter, kCounterTrace) +
-        cancel_msg.dump() + "\n"));
+        cancelLine("cq-b")));
 
     EXPECT_TRUE(client.await("cancelled", "cq-b").isObject());
+
+    // Job A is unaffected by its sibling's cancellation: still
+    // running until it is cancelled itself.
+    ASSERT_TRUE(client.sendMsg("query", "cq-a"));
+    Json state_a = client.await("job", "cq-a");
+    ASSERT_TRUE(state_a.isObject());
+    EXPECT_EQ(state_a.str("state"), "active");
+    cancelBlocker(client, "cq-a");
+
+    // B leaves the queue as cancelled once the worker reaches it.
     Json result_b = client.await("result", "cq-b");
     ASSERT_TRUE(result_b.isObject());
     EXPECT_EQ(result_b.str("status"), "cancelled");
     EXPECT_EQ(result_b.num("exit_code", -1), 3);
     EXPECT_TRUE(result_b.flag("cancelled", false) ||
                 result_b.str("status") == "cancelled");
-
-    // Job A is unaffected by its sibling's cancellation.
-    Json result_a = client.await("result", "cq-a");
-    ASSERT_TRUE(result_a.isObject());
-    EXPECT_EQ(result_a.str("status"), "repaired");
 }
 
 TEST(Service, ClientDisconnectCancelsItsJobs)
@@ -545,10 +628,11 @@ TEST(Service, ClientDisconnectCancelsItsJobs)
         RawClient doomed(fx.socket_path);
         ASSERT_TRUE(doomed.ok());
         ASSERT_TRUE(doomed.sendRaw(
-            submitFor("dc-a", kBuggyCounter, kCounterTrace) +
+            submitBlocker("dc-a") +
             submitFor("dc-b", kBuggyCounter, kCounterTrace)));
         ASSERT_TRUE(doomed.await("accepted", "dc-b").isObject());
-    }  // connection closes with dc-b queued (dc-a may be running)
+    }  // connection closes with dc-b queued behind the solver-bound
+       // dc-a, which the disconnect cancels too
 
     // The orphaned queued job must finish as cancelled (visible via
     // the recent-results ring), not burn the worker.
@@ -566,6 +650,10 @@ TEST(Service, ClientDisconnectCancelsItsJobs)
     }
     ASSERT_TRUE(replay.isObject());
     EXPECT_EQ(replay.str("status"), "cancelled");
+    ASSERT_TRUE(observer.sendMsg("query", "dc-a"));
+    Json replay_a = observer.await("result", "dc-a");
+    ASSERT_TRUE(replay_a.isObject());
+    EXPECT_EQ(replay_a.str("status"), "cancelled");
 
     // And the daemon still serves new clients.
     ASSERT_TRUE(observer.sendMsg("ping"));

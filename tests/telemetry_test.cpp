@@ -317,4 +317,28 @@ TEST_F(TelemetryTest, SimulationSpansNestUnderRepair)
     EXPECT_TRUE(saw_prefix);
 }
 
+/** Replay work is counted in live lanes x evaluated cycles.  The
+ *  count is Unstable (cancelled templates replay at jobs>1), so the
+ *  pin is at jobs=1, where it is exact: a kernel or scheduling change
+ *  that keeps it is cheaper cycles, not skipped work. */
+TEST_F(TelemetryTest, ReplayedLaneCyclesPinnedAtJobs1)
+{
+    const benchmarks::LoadedBenchmark &lb =
+        benchmarks::load("counter_k1");
+    telemetry::setEnabled(true);
+    repair::RepairConfig config;
+    config.timeout_seconds = 60.0;
+    config.x_policy = lb.def->x_policy;
+    config.jobs = 1;
+    repair::RepairOutcome outcome =
+        repair::repairDesign(*lb.buggy, lb.buggy_lib, lb.tb, config);
+    EXPECT_EQ(outcome.status, repair::RepairOutcome::Status::Repaired);
+    EXPECT_EQ(counterValue("sim.lane_cycles",
+                           telemetry::MetricKind::Unstable),
+              219u);
+    EXPECT_EQ(counterValue("sim.lane_cycles",
+                           telemetry::MetricKind::Deterministic),
+              0u);
+}
+
 } // namespace

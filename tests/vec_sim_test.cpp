@@ -120,6 +120,17 @@ TEST(PackedValue, BroadcastMatchesEveryLane)
         EXPECT_TRUE(p.lane(l) == v);
 }
 
+// A replication count whose result width overflows 32 bits is
+// refused like any over-wide value, not wrapped into a small
+// allocation that the copies overrun.
+TEST(PackedValue, ReplicateRefusesWidthOverflow)
+{
+    PackedValue v = PackedValue::zeros(64);
+    EXPECT_THROW(v.replicate((1u << 26) + 1), FatalError);
+    EXPECT_THROW(Value::zeros(64).replicate((1u << 26) + 1), FatalError);
+    EXPECT_EQ(v.replicate(4).width(), 256u);
+}
+
 TEST(PackedValue, OpsMatchScalarLaneForLane)
 {
     Rng rng(0xbadc0de5);
